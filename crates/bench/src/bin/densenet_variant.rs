@@ -9,7 +9,7 @@
 //! that the framework's layer-selection mechanism carries over to densely
 //! connected architectures.
 
-use dv_bench::cache::model_cached;
+use dv_bench::cache::{cache_dir, model_cached};
 use dv_bench::pipeline::{Sizes, MIN_SUCCESS_RATE, TARGET_SUCCESS_RATE};
 use dv_core::{DeepValidator, LayerSelection, ValidatorConfig};
 use dv_datasets::DatasetSpec;
@@ -64,7 +64,7 @@ fn main() {
         "densenet-{}x{}e{}",
         sizes.n_train, sizes.n_test, sizes.epochs
     );
-    model_cached(&cache_name, &mut net, |net| {
+    model_cached(&cache_dir(), &cache_name, &mut net, |net| {
         eprintln!("training DenseNet variant ({} params)...", net.num_params());
         let mut opt = Adadelta::new();
         let cfg = TrainConfig {

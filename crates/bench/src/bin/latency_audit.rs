@@ -5,11 +5,13 @@
 //! successful response is audited against its stitched timeline: the
 //! four segments the stitcher decomposes a request into — queue-wait,
 //! coalesce-wait, score, respond — must telescope exactly among
-//! themselves *and* account for the wall time the server reported for
-//! that request within 1%. The run fails unless ≥99% of audited
-//! requests reconcile, which is the end-to-end proof that the lifecycle
-//! events land where the latency actually went — including through
-//! crashes, retries, and respawned workers.
+//! themselves *and* reproduce the wall time the server reported for
+//! that request exactly (`total_ns / 1000 == total_us`): the server
+//! stamps `serve.enqueued` and `serve.responded` with the very clock
+//! readings its `total_us` is computed from. The run fails if a single
+//! audited request does not reconcile, which is the end-to-end proof
+//! that the lifecycle events land where the latency actually went —
+//! including through crashes, retries, and respawned workers.
 //!
 //! - **batched** phase: the `serve_soak` fault regime (injected worker
 //!   panics + latency spikes) against the coalescing batch path, where
@@ -268,18 +270,12 @@ fn audit_phase(phase: &SoakOut, sampled_all: bool, totals: &mut AuditTotals) {
         agg.respond_ns += u128::from(seg.respond_ns);
         agg.total_ns += u128::from(seg.total_ns);
         agg.totals_us.record(seg.total_ns / 1_000);
-        // The server's wall-time report and the trace's enqueue→respond
-        // window are measured by the same clock at almost the same
-        // points, but not *exactly* the same points: the submit Instant
-        // is captured just before the ENQUEUED event's clock read, and
-        // the RESPONDED event is recorded just after `total_us` is
-        // computed. Each end trails by an independent clock-read gap, so
-        // 1% plus a 5µs stamp-skew floor reconciles them (the floor only
-        // governs sub-500µs requests; 1% dominates everything slower).
-        let wall_ns = a.total_us * 1_000;
-        let gap = wall_ns.abs_diff(seg.total_ns);
+        // The enqueue→respond window and the server's `total_us` are the
+        // same two clock readings, so they agree exactly; the gap left
+        // is the sub-microsecond remainder `total_us` truncates.
+        let gap = seg.total_ns.abs_diff(a.total_us * 1_000);
         totals.worst_gap_ns = totals.worst_gap_ns.max(gap);
-        if gap <= wall_ns / 100 + 5_000 {
+        if seg.total_ns / 1_000 == a.total_us {
             totals.reconciled += 1;
         }
     }
@@ -443,7 +439,7 @@ fn main() {
 
     eprintln!(
         "audit: {} submitted, {} audited ({} failed terminally), {} reconciled \
-         ({:.2}% within 1%), worst gap {} ns, {} waves over {:.2}s",
+         ({:.2}% exactly), worst gap {} ns, {} waves over {:.2}s",
         submitted_total,
         audited_total,
         failed,
@@ -539,12 +535,14 @@ fn main() {
         "fewer than half the soaked requests produced auditable responses \
          ({auditable} of {requests})"
     );
-    assert!(
-        pass_ratio >= 0.99,
-        "latency attribution failed: only {:.2}% of {} audited requests reconcile \
-         segment sums with wall time within 1%",
-        pass_ratio * 100.0,
-        auditable
+    assert_eq!(
+        totals.reconciled,
+        auditable,
+        "latency attribution failed: {} of {} audited requests do not reconcile \
+         segment sums with the reported wall time exactly (worst gap {} ns)",
+        auditable - totals.reconciled,
+        auditable,
+        totals.worst_gap_ns
     );
     if sampled_all {
         assert!(

@@ -2,24 +2,23 @@
 //!
 //! Experiment binaries are independently runnable; the first one to need
 //! a trained model pays for training, later ones load the checkpoint from
-//! `target/dv-cache` (override with the `DV_CACHE` environment variable).
+//! [`cache_dir`]. The loaders take the directory as a parameter, so
+//! nothing below the drivers reads the environment.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use dv_core::DeepValidator;
 use dv_nn::Network;
 use dv_tensor::io::{read_named, write_named};
 use dv_tensor::Tensor;
 
-/// The cache directory (created on demand).
+/// The drivers' cache directory (created on demand): `DV_CACHE` when
+/// set (see [`dv_runtime::config::cache_dir`]), else `target/dv-cache`.
 pub fn cache_dir() -> PathBuf {
-    // dv-lint: allow(env-read, reason = "bench-driver cache location override; never consulted by library code and a stale value only changes where artifacts land")
-    let dir = std::env::var("DV_CACHE")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("target/dv-cache"));
+    let dir = dv_runtime::config::cache_dir().unwrap_or_else(|| PathBuf::from("target/dv-cache"));
     fs::create_dir_all(&dir).expect("cannot create cache directory");
     dir
 }
@@ -35,10 +34,15 @@ pub fn out_dir(sub: &str) -> PathBuf {
     dir
 }
 
-/// Loads a cached model into `net`, or runs `train` and caches the
-/// result. Returns whether the cache was hit.
-pub fn model_cached(name: &str, net: &mut Network, train: impl FnOnce(&mut Network)) -> bool {
-    let path = cache_dir().join(format!("{name}.model.dvt"));
+/// Loads a model cached in `dir` into `net`, or runs `train` and caches
+/// the result. Returns whether the cache was hit.
+pub fn model_cached(
+    dir: &Path,
+    name: &str,
+    net: &mut Network,
+    train: impl FnOnce(&mut Network),
+) -> bool {
+    let path = dir.join(format!("{name}.model.dvt"));
     if path.exists() {
         match net.load(&path) {
             Ok(()) => return true,
@@ -52,9 +56,14 @@ pub fn model_cached(name: &str, net: &mut Network, train: impl FnOnce(&mut Netwo
     false
 }
 
-/// Loads a cached validator, or runs `fit` and caches the result.
-pub fn validator_cached(name: &str, fit: impl FnOnce() -> DeepValidator) -> DeepValidator {
-    let path = cache_dir().join(format!("{name}.validator.dvt"));
+/// Loads a validator cached in `dir`, or runs `fit` and caches the
+/// result.
+pub fn validator_cached(
+    dir: &Path,
+    name: &str,
+    fit: impl FnOnce() -> DeepValidator,
+) -> DeepValidator {
+    let path = dir.join(format!("{name}.validator.dvt"));
     if path.exists() {
         match File::open(&path)
             .map_err(dv_tensor::io::DecodeError::Io)
@@ -77,13 +86,15 @@ pub fn validator_cached(name: &str, fit: impl FnOnce() -> DeepValidator) -> Deep
     validator
 }
 
-/// Loads a cached named-tensor map, or computes and caches it. Used for
-/// any artifact expressible as tensors (scores, corner-case images).
+/// Loads a named-tensor map cached in `dir`, or computes and caches it.
+/// Used for any artifact expressible as tensors (scores, corner-case
+/// images).
 pub fn tensors_cached(
+    dir: &Path,
     name: &str,
     compute: impl FnOnce() -> BTreeMap<String, Tensor>,
 ) -> BTreeMap<String, Tensor> {
-    let path = cache_dir().join(format!("{name}.dvt"));
+    let path = dir.join(format!("{name}.dvt"));
     if path.exists() {
         match File::open(&path)
             .map_err(dv_tensor::io::DecodeError::Io)
@@ -112,18 +123,20 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn with_temp_cache<T>(f: impl FnOnce() -> T) -> T {
-        let dir = std::env::temp_dir().join(format!("dv_cache_test_{}", std::process::id()));
-        std::env::set_var("DV_CACHE", &dir);
-        let result = f();
-        std::env::remove_var("DV_CACHE");
-        std::fs::remove_dir_all(&dir).ok();
+    /// Runs `f` against a fresh cache directory of its own (tests run in
+    /// parallel, so each one gets a distinct `tag`), removed afterwards.
+    fn with_temp_cache<T>(tag: &str, f: impl FnOnce(&Path) -> T) -> T {
+        let dir = std::env::temp_dir().join(format!("dv_cache_test_{}_{tag}", std::process::id()));
+        fs::remove_dir_all(&dir).ok();
+        fs::create_dir_all(&dir).expect("cannot create the test cache directory");
+        let result = f(&dir);
+        fs::remove_dir_all(&dir).ok();
         result
     }
 
     #[test]
     fn model_cache_round_trips() {
-        with_temp_cache(|| {
+        with_temp_cache("model", |dir| {
             let build = || {
                 let mut rng = StdRng::seed_from_u64(1);
                 let mut net = Network::new(&[4]);
@@ -131,7 +144,7 @@ mod tests {
                 net
             };
             let mut first = build();
-            let hit1 = model_cached("t", &mut first, |net| {
+            let hit1 = model_cached(dir, "t", &mut first, |net| {
                 // "Training": overwrite with a distinctive parameter set.
                 let mut rng = StdRng::seed_from_u64(99);
                 let p = Tensor::randn(&mut rng, &[2, 4], 1.0);
@@ -139,7 +152,7 @@ mod tests {
             });
             assert!(!hit1);
             let mut second = build();
-            let hit2 = model_cached("t", &mut second, |_| panic!("must not retrain"));
+            let hit2 = model_cached(dir, "t", &mut second, |_| panic!("must not retrain"));
             assert!(hit2);
             let x = Tensor::ones(&[1, 4]);
             assert_eq!(
@@ -151,14 +164,14 @@ mod tests {
 
     #[test]
     fn tensors_cache_round_trips() {
-        with_temp_cache(|| {
+        with_temp_cache("tensors", |dir| {
             let compute = || {
                 let mut m = BTreeMap::new();
                 m.insert("a".to_owned(), Tensor::ones(&[2, 2]));
                 m
             };
-            let first = tensors_cached("scores", compute);
-            let second = tensors_cached("scores", || panic!("must not recompute"));
+            let first = tensors_cached(dir, "scores", compute);
+            let second = tensors_cached(dir, "scores", || panic!("must not recompute"));
             assert_eq!(first, second);
         });
     }

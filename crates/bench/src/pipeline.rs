@@ -13,7 +13,7 @@ use dv_tensor::{Tensor, Workspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::cache::{model_cached, tensors_cached, validator_cached};
+use crate::cache::{cache_dir, model_cached, tensors_cached, validator_cached};
 use crate::models::{default_epochs, model_for, validated_layers};
 
 /// Grid-search stopping target (the paper stops at ~60% success rate).
@@ -105,7 +105,7 @@ impl Experiment {
             sizes.n_test,
             sizes.epochs
         );
-        let hit = model_cached(&cache_name, &mut net, |net| {
+        let hit = model_cached(&cache_dir(), &cache_name, &mut net, |net| {
             eprintln!(
                 "[{}] training model ({} params)...",
                 spec.name(),
@@ -204,7 +204,7 @@ impl Experiment {
         let cache_name = format!("{}-search", self.cache_prefix());
         let spec = self.spec;
         let net = &mut self.net;
-        let encoded = tensors_cached(&cache_name, || {
+        let encoded = tensors_cached(&cache_dir(), &cache_name, || {
             eprintln!("[{}] grid-searching corner cases...", spec.name());
             let spaces = SearchSpace::catalogue(spec.is_grayscale());
             // Each transformation family searches independently against
@@ -294,7 +294,7 @@ impl Experiment {
         let layers = LayerSelection::LastK(validated_layers(spec));
         let net = &mut self.net;
         let dataset = &self.dataset;
-        validator_cached(&cache_name, || {
+        validator_cached(&cache_dir(), &cache_name, || {
             eprintln!("[{}] fitting Deep Validation (Algorithm 1)...", spec.name());
             let config = ValidatorConfig {
                 layers,

@@ -62,20 +62,27 @@ impl From<FitError> for ValidatorError {
 }
 
 /// Reusable per-worker scratch for the allocation-free scoring path:
-/// the inference-plan [`Workspace`] plus the reduced-representation
-/// buffer. After the first image through a given plan everything is
-/// warm and [`DeepValidator::score_into`] touches the heap zero times.
+/// the kernel's scratch (inference-plan [`Workspace`], reduced
+/// representation, tap list) plus the staged batch input. After the
+/// first image through a given plan everything is warm and
+/// [`DeepValidator::score_into`] touches the heap zero times.
 #[derive(Debug, Default)]
 pub struct ScoreWorkspace {
-    ws: Workspace,
-    rep: Vec<f32>,
-    /// Scratch tap list for masked (degraded) scoring.
-    taps: Vec<usize>,
+    scratch: Scratch,
     /// Staged batch input: `staged` row-major items back to back, built
     /// by [`stage_image`](ScoreWorkspace::stage_image) and consumed by
-    /// the `score_staged_*` entry points.
+    /// [`score_staged_into`](DeepValidator::score_staged_into).
     batch: Vec<f32>,
     staged: usize,
+}
+
+/// What the scoring kernel writes through on every call.
+#[derive(Debug, Default)]
+struct Scratch {
+    ws: Workspace,
+    rep: Vec<f32>,
+    /// Probe indices of a masked (degraded) score's taps.
+    taps: Vec<usize>,
 }
 
 impl ScoreWorkspace {
@@ -90,16 +97,16 @@ impl ScoreWorkspace {
     /// starts from a state indistinguishable from a fresh workspace —
     /// without giving up the allocation-free steady state.
     pub fn reset(&mut self) {
-        self.ws.reset();
-        self.rep.clear();
-        self.taps.clear();
+        self.scratch.ws.reset();
+        self.scratch.rep.clear();
+        self.scratch.taps.clear();
         self.begin_batch();
     }
 
     /// Read-only view of the underlying activation arena (diagnostics
     /// and tests; the serving path never needs it).
     pub fn workspace(&self) -> &Workspace {
-        &self.ws
+        &self.scratch.ws
     }
 
     /// Clears the staged batch (keeping capacity), starting a new one.
@@ -125,6 +132,15 @@ impl ScoreWorkspace {
         Ok(())
     }
 
+    /// Starts a new batch and stages every image of `images`, stopping
+    /// at the first malformed one.
+    fn stage_all(&mut self, plan: &InferencePlan, images: &[Tensor]) -> Result<(), ScoreError> {
+        self.begin_batch();
+        images
+            .iter()
+            .try_for_each(|image| self.stage_image(plan, image))
+    }
+
     /// Number of images currently staged.
     pub fn staged(&self) -> usize {
         self.staged
@@ -145,7 +161,7 @@ impl ScoreWorkspace {
         if self.batch.capacity() < want {
             self.batch.reserve(want - self.batch.len());
         }
-        self.ws.reserve_acts(b * widest);
+        self.scratch.ws.reserve_acts(b * widest);
     }
 }
 
@@ -425,26 +441,7 @@ impl DeepValidator {
         per_layer: &mut Vec<f32>,
     ) -> Result<(usize, f32), ScoreError> {
         dv_trace::span!("core.score_into");
-        validate_plan_input(plan, image)?;
-        // Disjoint field borrows: the plan output borrows `sw.ws`, the
-        // reduced representation lands in `sw.rep`.
-        let ScoreWorkspace { ws, rep, .. } = sw;
-        let out = plan.forward_probed_into(image, &self.probe_indices, ws);
-        debug_assert_eq!(out.batch(), 1, "score expects a single image");
-        let row = out.logits();
-        let predicted = argmax_row(row);
-        let confidence = softmax_max(row);
-        // Sequential per-layer loop: same values as the order-preserving
-        // par_map in `discrepancy`, without allocating a result vector.
-        per_layer.clear();
-        for (t, &p) in self.probe_indices.iter().enumerate() {
-            self.reducer
-                .reduce_into(plan.probe_item_dims(p), out.probe(t), rep);
-            let d = -(self.svms_for_probe(p)[predicted].decision(rep) as f32);
-            dv_trace::record_discrepancy(t, d);
-            per_layer.push(d);
-        }
-        Ok((predicted, confidence))
+        self.score_one(plan, image, None, sw, per_layer)
     }
 
     /// Degraded-mode scoring: like
@@ -470,35 +467,25 @@ impl DeepValidator {
         per_layer: &mut Vec<f32>,
     ) -> Result<(usize, f32), ScoreError> {
         dv_trace::span!("core.score_masked_into");
+        self.score_one(plan, image, Some(keep), sw, per_layer)
+    }
+
+    /// One validated image through [`score_flat`](Self::score_flat).
+    fn score_one(
+        &self,
+        plan: &InferencePlan,
+        image: &Tensor,
+        keep: Option<&[usize]>,
+        sw: &mut ScoreWorkspace,
+        per_layer: &mut Vec<f32>,
+    ) -> Result<(usize, f32), ScoreError> {
         validate_plan_input(plan, image)?;
-        debug_assert!(
-            keep.windows(2).all(|w| w[0] < w[1]),
-            "keep positions must be strictly ascending"
-        );
-        debug_assert!(
-            keep.iter().all(|&v| v < self.probe_indices.len()),
-            "keep positions must index the validated probe list"
-        );
-        let ScoreWorkspace { ws, rep, taps, .. } = sw;
-        taps.clear();
-        taps.extend(keep.iter().map(|&v| self.probe_indices[v]));
-        let out = plan.forward_probed_into(image, taps, ws);
-        debug_assert_eq!(out.batch(), 1, "score expects a single image");
-        let row = out.logits();
-        let predicted = argmax_row(row);
-        let confidence = softmax_max(row);
-        per_layer.clear();
-        for (t, &v) in keep.iter().enumerate() {
-            let p = self.probe_indices[v];
-            self.reducer
-                .reduce_into(plan.probe_item_dims(p), out.probe(t), rep);
-            let d = -(self.svms_for_probe(p)[predicted].decision(rep) as f32);
-            // Tap index `v` (the position in the validated probe list),
-            // so masked telemetry lands in the same tap as full scoring.
-            dv_trace::record_discrepancy(v, d);
-            per_layer.push(d);
-        }
-        Ok((predicted, confidence))
+        let mut top = (0, 0.0);
+        let scratch = &mut sw.scratch;
+        self.score_flat(plan, image.data(), keep, scratch, per_layer, |p, c| {
+            top = (p, c)
+        });
+        Ok(top)
     }
 
     /// Batched Algorithm 2: scores every image in `images` through one
@@ -524,11 +511,8 @@ impl DeepValidator {
         results: &mut Vec<(usize, f32)>,
         per_layer: &mut Vec<f32>,
     ) -> Result<(), ScoreError> {
-        sw.begin_batch();
-        for image in images {
-            sw.stage_image(plan, image)?;
-        }
-        self.score_staged_into(plan, sw, results, per_layer);
+        sw.stage_all(plan, images)?;
+        self.score_staged_into(plan, None, sw, results, per_layer);
         Ok(())
     }
 
@@ -551,16 +535,15 @@ impl DeepValidator {
         results: &mut Vec<(usize, f32)>,
         per_layer: &mut Vec<f32>,
     ) -> Result<(), ScoreError> {
-        sw.begin_batch();
-        for image in images {
-            sw.stage_image(plan, image)?;
-        }
-        self.score_staged_masked_into(plan, keep, sw, results, per_layer);
+        sw.stage_all(plan, images)?;
+        self.score_staged_into(plan, Some(keep), sw, results, per_layer);
         Ok(())
     }
 
     /// Scores the batch previously staged into `sw` (see
-    /// [`ScoreWorkspace::stage_image`]) over every validated probe.
+    /// [`ScoreWorkspace::stage_image`]) over the validated-probe
+    /// positions in `keep` — `None` taps every validated layer, and an
+    /// empty list degrades the whole batch to prediction + confidence.
     /// `results` and `per_layer` are cleared first; with zero staged
     /// images both come back empty. Staged inputs were validated at
     /// staging time, so this path cannot fail — which is what lets a
@@ -568,100 +551,77 @@ impl DeepValidator {
     pub fn score_staged_into(
         &self,
         plan: &InferencePlan,
+        keep: Option<&[usize]>,
         sw: &mut ScoreWorkspace,
         results: &mut Vec<(usize, f32)>,
         per_layer: &mut Vec<f32>,
     ) {
         dv_trace::span!("core.score_batch");
         results.clear();
-        per_layer.clear();
-        let ScoreWorkspace {
-            ws,
-            rep,
-            batch,
-            staged,
-            ..
-        } = sw;
-        let n = *staged;
-        if n == 0 {
-            return;
-        }
-        let out = plan.forward_probed_flat_into(batch, n, &self.probe_indices, ws);
-        let classes = out.num_classes();
-        for bi in 0..n {
-            let row = &out.logits()[bi * classes..(bi + 1) * classes];
-            let predicted = argmax_row(row);
-            let confidence = softmax_max(row);
-            // Tap loop per image, in the exact order `score_into` uses,
-            // over the image's slice of each probe buffer — the reducer
-            // and SVM see the same bits a single-image run feeds them.
-            for (t, &p) in self.probe_indices.iter().enumerate() {
-                let dims = plan.probe_item_dims(p);
-                let item: usize = dims.iter().product();
-                self.reducer
-                    .reduce_into(dims, &out.probe(t)[bi * item..(bi + 1) * item], rep);
-                let d = -(self.svms_for_probe(p)[predicted].decision(rep) as f32);
-                dv_trace::record_discrepancy(t, d);
-                per_layer.push(d);
-            }
-            results.push((predicted, confidence));
-        }
+        let ScoreWorkspace { scratch, batch, .. } = sw;
+        self.score_flat(plan, batch, keep, scratch, per_layer, |p, c| {
+            results.push((p, c));
+        });
     }
 
-    /// Masked variant of [`score_staged_into`](DeepValidator::score_staged_into):
-    /// taps only the validated-probe positions in `keep` for every
-    /// staged image (empty `keep` degrades the whole batch to
-    /// prediction + confidence).
-    pub fn score_staged_masked_into(
+    /// The one per-image tap loop behind every scoring entry point.
+    /// Scores the row-major images laid back to back in `input` through
+    /// one forward pass over the validated-probe positions in `keep`
+    /// (`None` = all of them), appending each image's discrepancy row to
+    /// `per_layer` (cleared first) and handing its
+    /// `(predicted, confidence)` to `on_image`, in image order. The
+    /// reducer and SVM see the same bits for an image whatever the
+    /// batch around it, which is what makes batch == singles.
+    fn score_flat(
         &self,
         plan: &InferencePlan,
-        keep: &[usize],
-        sw: &mut ScoreWorkspace,
-        results: &mut Vec<(usize, f32)>,
+        input: &[f32],
+        keep: Option<&[usize]>,
+        scratch: &mut Scratch,
         per_layer: &mut Vec<f32>,
+        mut on_image: impl FnMut(usize, f32),
     ) {
-        dv_trace::span!("core.score_batch_masked");
-        debug_assert!(
-            keep.windows(2).all(|w| w[0] < w[1]),
-            "keep positions must be strictly ascending"
-        );
-        debug_assert!(
-            keep.iter().all(|&v| v < self.probe_indices.len()),
-            "keep positions must index the validated probe list"
-        );
-        results.clear();
         per_layer.clear();
-        let ScoreWorkspace {
-            ws,
-            rep,
-            taps,
-            batch,
-            staged,
-        } = sw;
-        let n = *staged;
+        let item: usize = plan.input_dims().iter().product();
+        let n = input.len() / item;
         if n == 0 {
             return;
         }
-        taps.clear();
-        taps.extend(keep.iter().map(|&v| self.probe_indices[v]));
-        let out = plan.forward_probed_flat_into(batch, n, taps, ws);
+        let Scratch { ws, rep, taps } = scratch;
+        let taps: &[usize] = match keep {
+            None => &self.probe_indices,
+            Some(keep) => {
+                debug_assert!(
+                    keep.windows(2).all(|w| w[0] < w[1]),
+                    "keep positions must be strictly ascending"
+                );
+                debug_assert!(
+                    keep.iter().all(|&v| v < self.probe_indices.len()),
+                    "keep positions must index the validated probe list"
+                );
+                taps.clear();
+                taps.extend(keep.iter().map(|&v| self.probe_indices[v]));
+                taps
+            }
+        };
+        let out = plan.forward_probed_flat_into(input, n, taps, ws);
         let classes = out.num_classes();
         for bi in 0..n {
             let row = &out.logits()[bi * classes..(bi + 1) * classes];
             let predicted = argmax_row(row);
-            let confidence = softmax_max(row);
-            for (t, &v) in keep.iter().enumerate() {
-                let p = self.probe_indices[v];
+            for (t, &p) in taps.iter().enumerate() {
+                // Position `v` in the validated list (= `t` unmasked), so
+                // masked telemetry lands in the same tap as full scoring.
+                let v = keep.map_or(t, |k| k[t]);
                 let dims = plan.probe_item_dims(p);
-                let item: usize = dims.iter().product();
+                let len: usize = dims.iter().product();
                 self.reducer
-                    .reduce_into(dims, &out.probe(t)[bi * item..(bi + 1) * item], rep);
-                let d = -(self.svms_for_probe(p)[predicted].decision(rep) as f32);
-                // Tap index `v`, matching `score_masked_into`'s telemetry.
+                    .reduce_into(dims, &out.probe(t)[bi * len..(bi + 1) * len], rep);
+                let d = -(self.svms[v][predicted].decision(rep) as f32);
                 dv_trace::record_discrepancy(v, d);
                 per_layer.push(d);
             }
-            results.push((predicted, confidence));
+            on_image(predicted, softmax_max(row));
         }
     }
 

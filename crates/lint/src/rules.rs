@@ -13,7 +13,7 @@
 //! | `wall-clock` (R5b)       | no `Instant::now`/`SystemTime::now` in numeric kernels — wall-clock reads make kernel behaviour timing-dependent |
 //! | `tensor-clone` (R6)      | no `.clone()` in the inference crates (`core`, `detectors`, `eval`) — the serving path is allocation-free (`InferencePlan` + workspace); a clone is a per-image heap hit unless proven cold with a reasoned allow |
 //! | `unbounded-channel` (R7) | no `mpsc::channel` or `thread::Builder` outside `crates/runtime` — unbounded channels hide backlog (backpressure must be a typed rejection, `BoundedQueue`), and `thread::Builder` is the spawn loophole R2's `thread::spawn` check misses; long-lived threads go through `Crew` |
-//! | `raw-timing` (R8)        | no `std::time::Instant`/`SystemTime` mention outside `crates/trace` and `crates/serve` — ad-hoc timing drifts from the shared trace epoch and bypasses the registry; measure with `dv_trace::Stopwatch`/`span!`, or allow with the reason raw timing is required |
+//! | `raw-timing` (R8)        | no `std::time::Instant`/`SystemTime` mention outside `crates/trace` — ad-hoc timing drifts from the shared trace epoch and bypasses the registry; measure with `dv_trace::Stopwatch`/`span!`, or allow with the reason raw timing is required |
 //! | `env-read` (R9)          | no `std::env::var`/`var_os`/`vars` outside `crates/runtime/src/config.rs` — scattered env reads let two call sites disagree about the same knob (one cached, one fresh); every knob goes through `dv_runtime::config`, or an allow naming why the read is a driver-local flag |
 //! | `layer-match-wildcard` (R10) | no `_ =>` arms in a `match` over the `LayerSpec` layer enum — the abstract interpreter's soundness rests on every analyzer handling every layer variant, and a wildcard silently (and unsoundly) absorbs variants added later; enumerate all variants so new layers fail to compile, or allow with the reason the default is variant-independent |
 //! | `span-name` (R11)        | the name at a `span!`/`record_raw`/`record_event` call site must be a literal dotted-lowercase `crate.stage[.detail]` string — the trace stitcher and the metrics/export pipelines match lifecycle events *by name*, so a computed or free-form name silently falls out of every timeline; allow with the reason the name must be computed |
@@ -97,15 +97,15 @@ pub fn rule_applies(rule: &str, crate_dir: &str) -> bool {
     match rule {
         THREAD_DISCIPLINE => crate_dir != "runtime",
         UNBOUNDED_CHANNEL => crate_dir != "runtime",
-        // The serve crate's whole job is deadlines and latency, so it
-        // joins bench and runtime in the wall-clock carve-out; trace owns
-        // the shared clock epoch itself.
-        WALL_CLOCK => !matches!(crate_dir, "runtime" | "bench" | "serve" | "trace"),
+        // Bench and runtime time things for a living; trace owns the
+        // shared clock epoch itself. The server keeps its deadlines on
+        // that epoch (`dv_trace::now_ns`), so it needs no carve-out.
+        WALL_CLOCK => !matches!(crate_dir, "runtime" | "bench" | "trace"),
         // Stricter than R5b: any *mention* of the raw clock types, so
         // even storing an Instant needs a reason. Only the crate that
-        // defines the trace epoch and the deadline-driven server are
-        // carved out; bench and runtime justify each site with an allow.
-        RAW_TIMING => !matches!(crate_dir, "trace" | "serve"),
+        // defines the trace epoch is carved out; bench and runtime
+        // justify each site with an allow.
+        RAW_TIMING => crate_dir != "trace",
         // The inference crates promise an allocation-free serving path;
         // everywhere else (tensor kernels, training, experiment drivers)
         // owned copies are part of the job.
@@ -485,8 +485,7 @@ fn check_unbounded_channel(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// R8: any mention of the raw clock types outside `crates/trace` and
-/// `crates/serve`.
+/// R8: any mention of the raw clock types outside `crates/trace`.
 ///
 /// R5b only catches the `::now()` call; this rule also catches imports
 /// and stored `Instant` fields, because a raw timestamp anywhere else
@@ -812,7 +811,7 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_exempts_bench_runtime_serve_and_trace() {
+    fn wall_clock_exempts_bench_runtime_and_trace() {
         let src = "fn f() { let _ = std::time::Instant::now(); }\n";
         // bench and runtime are exempt from R5b but still hit R8.
         let bench = run(src, "bench");
@@ -821,17 +820,19 @@ mod tests {
         let runtime = run(src, "runtime");
         assert_eq!(runtime.len(), 1, "{runtime:?}");
         assert_eq!(runtime[0].rule, RAW_TIMING);
-        assert!(run(src, "serve").is_empty());
         assert!(run(src, "trace").is_empty());
-        // Non-exempt crates hit both the ::now() call and the mention.
-        let both = run(src, "detectors");
-        assert_eq!(both.len(), 2, "{both:?}");
-        assert!(both.iter().any(|d| d.rule == WALL_CLOCK));
-        assert!(both.iter().any(|d| d.rule == RAW_TIMING));
+        // Non-exempt crates, the server among them, hit both the ::now()
+        // call and the mention.
+        for dir in ["detectors", "serve"] {
+            let both = run(src, dir);
+            assert_eq!(both.len(), 2, "{dir}: {both:?}");
+            assert!(both.iter().any(|d| d.rule == WALL_CLOCK));
+            assert!(both.iter().any(|d| d.rule == RAW_TIMING));
+        }
     }
 
     #[test]
-    fn raw_timing_flags_bare_mentions_everywhere_but_trace_and_serve() {
+    fn raw_timing_flags_bare_mentions_everywhere_but_trace() {
         // No ::now() call — R5b stays silent, R8 still fires on the
         // import and on the stored field type.
         let src = "use std::time::Instant;\nstruct S { t: Instant }\n";
@@ -841,7 +842,11 @@ mod tests {
         assert_eq!(diags[0].line, 1);
         assert_eq!(diags[1].line, 2);
         assert!(run(src, "trace").is_empty());
-        assert!(run(src, "serve").is_empty());
+        // The server's deadlines live on the trace clock, so a raw clock
+        // type there is flagged like anywhere else.
+        let serve = run(src, "serve");
+        assert_eq!(serve.len(), 2, "{serve:?}");
+        assert!(serve.iter().all(|d| d.rule == RAW_TIMING));
         let sys = run(
             "fn f() { let _ = std::time::SystemTime::UNIX_EPOCH; }\n",
             "nn",

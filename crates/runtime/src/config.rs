@@ -13,7 +13,9 @@
 //! |-------------------|-------------------------------------------------|
 //! | `DV_THREADS`      | Global pool size (positive integer)             |
 //! | `DV_TRACE_SAMPLE` | Record every Nth request's spans (0/1 = all)    |
+//! | `DV_CACHE`        | Bench drivers' artifact cache directory         |
 
+use std::path::PathBuf;
 use std::sync::OnceLock;
 
 /// `DV_THREADS`: requested global-pool thread count, or `None` to use
@@ -43,6 +45,16 @@ pub fn trace_sample_every() -> u64 {
             .filter(|&n| n >= 1)
             .unwrap_or(1)
     })
+}
+
+/// `DV_CACHE`: the directory the bench drivers cache trained models,
+/// fitted validators and search results in, or `None` for their
+/// default. Cached on first read, like every knob here.
+#[must_use]
+pub fn cache_dir() -> Option<PathBuf> {
+    static DIR: OnceLock<Option<PathBuf>> = OnceLock::new();
+    DIR.get_or_init(|| std::env::var_os("DV_CACHE").map(PathBuf::from))
+        .clone()
 }
 
 #[cfg(test)]

@@ -2,9 +2,9 @@
 //! jobs recoverable across a worker panic.
 //!
 //! dv-serve workers park everything they drain here *before* scoring
-//! anything, so a panic anywhere in a wakeup — mid-batch or mid-single —
-//! leaves every not-yet-fulfilled promise inside the pen for the
-//! respawned incarnation to pop and retry. Like [`BoundedQueue`] and
+//! anything, so a panic anywhere in a wakeup leaves every
+//! not-yet-fulfilled promise inside the pen for the respawned
+//! incarnation to pop and retry. Like [`BoundedQueue`] and
 //! [`oneshot`], the lock lives in `crates/runtime` (dv-lint R2) and the
 //! API never exposes its guard: each method holds the lock only for its
 //! own duration, so a caller *cannot* hold the pen across scoring.
@@ -67,6 +67,25 @@ impl<T> HoldingPen<T> {
         for item in self.lock().iter_mut().take(n) {
             f(item);
         }
+    }
+
+    /// Moves the parked items `pick` accepts in front of the ones it
+    /// rejects, keeping FIFO order within both groups, and returns how
+    /// many it accepted. `pick` visits every item once, oldest first,
+    /// under the lock (as [`for_front`](HoldingPen::for_front)'s visitor
+    /// does), so it may carry state from one item to the next. Nothing
+    /// leaves the pen and nothing is allocated.
+    pub fn hoist(&self, mut pick: impl FnMut(&T) -> bool) -> usize {
+        let mut inner = self.lock();
+        let items = inner.make_contiguous();
+        let mut picked = 0;
+        for i in 0..items.len() {
+            if pick(&items[i]) {
+                items[picked..=i].rotate_right(1);
+                picked += 1;
+            }
+        }
+        picked
     }
 
     /// Removes and returns the first `n` parked items (fewer when the
@@ -134,6 +153,21 @@ mod tests {
         pen.for_front_mut(2, |v| *v += 1);
         assert_eq!(pen.len(), 3, "mutable peek must not consume");
         assert_eq!(pen.release_front(3), vec![11, 21, 30]);
+    }
+
+    #[test]
+    fn hoist_is_a_stable_partition_to_the_front() {
+        let pen = HoldingPen::new();
+        pen.park([1, 2, 3, 4, 5, 6]);
+        let mut seen = Vec::new();
+        let picked = pen.hoist(|&v| {
+            seen.push(v);
+            v % 2 == 0
+        });
+        assert_eq!(picked, 3);
+        assert_eq!(seen, vec![1, 2, 3, 4, 5, 6], "every item, oldest first");
+        assert_eq!(pen.release_front(6), vec![2, 4, 6, 1, 3, 5]);
+        assert_eq!(pen.hoist(|_| true), 0, "an empty pen picks nothing");
     }
 
     #[test]

@@ -14,9 +14,10 @@ use crate::fault::FaultPlan;
 /// its request sequence number) to the supervision thread, which owns a
 /// [`DriftMonitor`](dv_drift::DriftMonitor). A latched drift alert
 /// *opens* the breaker: requests are served through the
-/// [`ServedVia::DriftDegraded`](crate::ServedVia::DriftDegraded) rung —
-/// except deterministic probes, which keep observing the stream — until
-/// the alert clears and the breaker closes again.
+/// [`ServedVia::DriftDegraded`](crate::ServedVia::DriftDegraded) rung
+/// (and coalesce into passes like any rung) — except deterministic
+/// probes, which keep observing the stream — until the alert clears and
+/// the breaker closes again.
 #[derive(Debug, Clone)]
 pub struct BreakerConfig {
     /// Detector and hysteresis parameters for the attached monitor.
@@ -64,17 +65,18 @@ pub struct ServeConfig {
     /// with [`Rejected::QueueFull`](crate::Rejected::QueueFull).
     pub queue_capacity: usize,
     /// Per-request deadline, measured from submission. A request whose
-    /// deadline passes before scoring begins fails with
+    /// deadline has passed when a worker drains it fails with
     /// [`ScoreError::DeadlineExpired`](dv_core::ScoreError::DeadlineExpired);
-    /// one picked up with a squeezed budget is served through a degraded
+    /// one drained with a squeezed budget is served through a degraded
     /// rung instead.
     pub deadline: Duration,
-    /// Largest number of queued requests one worker wakeup may coalesce
-    /// into a single batched forward pass. Coalescing never waits for a
-    /// batch to fill — a worker takes whatever depth the queue already
-    /// holds (up to this cap), so an idle server still serves singles at
-    /// single-request latency while a bursty one turns queue depth into
-    /// batch size. `1` disables coalescing entirely.
+    /// Largest number of queued requests one worker wakeup drains, and
+    /// so the widest pass (one rung, one forward pass) it may score.
+    /// Coalescing never waits for a pass to fill — a worker takes
+    /// whatever depth the queue already holds (up to this cap), so an
+    /// idle server still serves passes of one at single-request latency
+    /// while a bursty one turns queue depth into pass width. `1`
+    /// disables coalescing entirely.
     pub max_batch: usize,
     /// How shutdown treats the queue backlog.
     pub shutdown: ShutdownPolicy,

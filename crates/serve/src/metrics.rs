@@ -39,18 +39,20 @@ pub(crate) mod names {
     pub(crate) const EXPIRED: &str = "serve.expired";
     /// Requests rejected by input validation.
     pub(crate) const BAD_INPUT: &str = "serve.bad_input";
-    /// Worker panics observed (crash *events*; a mid-batch panic is one
-    /// event even though it parks several requests for retry).
+    /// Worker panics observed (crash *events*; a panic in a pass of two
+    /// or more is one event even though it parks several requests for
+    /// retry).
     pub(crate) const WORKER_CRASHES: &str = "serve.worker_crashes";
     /// Requests that terminally failed with `WorkerCrashed` (after the
-    /// single crash-retry for batch members). This — not
+    /// lone crash-retry for members of a wider pass). This — not
     /// [`WORKER_CRASHES`] — is the per-request terminal outcome.
     pub(crate) const REQUESTS_CRASHED: &str = "serve.requests_crashed";
-    /// Requests served as part of a coalesced batch of ≥ 2.
+    /// Requests served in a pass of ≥ 2.
     pub(crate) const COALESCED: &str = "serve.coalesced";
-    /// Coalesced batches scored (each a single stacked forward pass).
+    /// Passes of ≥ 2 scored (each a single stacked forward pass).
     pub(crate) const BATCHES: &str = "serve.batches";
-    /// Parked batch members re-scored singly after a mid-batch crash.
+    /// Parked requests re-scored alone by a respawned worker after a
+    /// crash.
     pub(crate) const BATCH_RETRIED: &str = "serve.batch_retried";
     /// Requests shed during shutdown.
     pub(crate) const SHED_SHUTDOWN: &str = "serve.shed_shutdown";
@@ -64,15 +66,15 @@ pub(crate) mod names {
     pub(crate) const RECOVERY_MAX_US: &str = "serve.recovery_max_us";
     /// Submission-to-response latency of served requests (µs).
     pub(crate) const LATENCY_US: &str = "serve.latency_us";
-    /// Coalesced batch sizes (one sample per batch of ≥ 2).
+    /// Pass widths (one sample per pass of ≥ 2).
     pub(crate) const BATCH_SIZE: &str = "serve.batch_size";
     /// Sampled submission-queue depth, set from the depth the queue
     /// itself reports on every push and drain (no extra atomics beyond
     /// the queue's own accounting).
     pub(crate) const QUEUE_DEPTH: &str = "serve.queue_depth";
-    /// Dequeue-to-score-start wait of coalesced batches (µs): how long
-    /// batch assembly (parking, partitioning, staging) held the members
-    /// after a worker had them in hand.
+    /// Dequeue-to-score-start wait of passes of ≥ 2 (µs): how long
+    /// triage, parking, earlier passes of the same wakeup and staging
+    /// held the members after a worker had them in hand.
     pub(crate) const COALESCE_WAIT_US: &str = "serve.coalesce_wait_us";
 }
 
@@ -152,12 +154,12 @@ impl Metrics {
         self.reg.gauge(names::QUEUE_DEPTH).set(depth);
     }
 
-    /// Records one coalesced batch's dequeue-to-score-start wait.
+    /// Records one pass of ≥ 2's dequeue-to-score-start wait.
     pub(crate) fn record_coalesce_wait_us(&self, us: u64) {
         self.reg.histogram(names::COALESCE_WAIT_US).record(us);
     }
 
-    /// Records one coalesced batch: its size sample plus the batch and
+    /// Records one pass of ≥ 2: its width sample plus the batch and
     /// per-member coalescing counters.
     pub(crate) fn record_batch(&self, size: u64) {
         self.reg.counter(names::BATCHES).inc();
@@ -236,24 +238,25 @@ pub struct MetricsSnapshot {
     pub breaker_closed: u64,
     /// Drift observations dropped on the worker→monitor queue.
     pub drift_obs_dropped: u64,
-    /// Requests whose deadline passed before scoring began.
+    /// Requests whose deadline had passed when a worker drained them.
     pub expired: u64,
     /// Requests rejected by input validation (shape / non-finite).
     pub bad_input: u64,
-    /// Worker panics observed (crash *events*). A panic on a single
-    /// request poisons that request; a panic mid-batch parks the batch's
-    /// members for one single-image retry each, so this can exceed
+    /// Worker panics observed (crash *events*). A panic in a pass of one
+    /// poisons that request; a panic in a wider pass leaves its members
+    /// parked for one lone retry each, so this can exceed
     /// [`requests_crashed`](MetricsSnapshot::requests_crashed).
     pub worker_crashes: u64,
     /// Requests that terminally failed with `WorkerCrashed` — the
     /// per-request crash outcome used by
     /// [`terminal_outcomes`](MetricsSnapshot::terminal_outcomes).
     pub requests_crashed: u64,
-    /// Requests served as part of a coalesced batch of ≥ 2.
+    /// Requests served in a pass of ≥ 2.
     pub coalesced: u64,
-    /// Coalesced batches scored (one stacked forward pass each).
+    /// Passes of ≥ 2 scored (one stacked forward pass each).
     pub batches: u64,
-    /// Parked batch members re-scored singly after a mid-batch crash.
+    /// Parked requests re-scored alone by a respawned worker after a
+    /// crash.
     pub batch_retried: u64,
     /// Workers respawned by the supervisor.
     pub worker_respawns: u64,

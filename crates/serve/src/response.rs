@@ -77,9 +77,9 @@ pub struct ScoreResponse {
     /// histogram's p99/p999 exemplars. Assigned whether or not tracing
     /// is compiled in, so responses correlate with traces when it is.
     pub trace: u64,
-    /// Size of the coalesced batch this request was scored in (`1` for a
-    /// request served on its own, whether because the queue was shallow
-    /// or because it fell down the degrade ladder individually).
+    /// Width of the pass this request was scored in: how many requests
+    /// shared its rung and its forward pass (`1` when it was served on
+    /// its own).
     pub batch: usize,
 }
 

@@ -2,23 +2,26 @@
 //! deadline-driven degradation, adaptive batching, panic isolation, and
 //! supervised respawn.
 //!
-//! Under burst load a worker wakeup drains up to
-//! [`ServeConfig::max_batch`] queued requests and coalesces the ones
-//! that can afford full-batch latency into a single stacked forward
-//! pass (see [`serve_drained`]); queue depth becomes batch size instead
-//! of `QueueFull` rejections. Coalescing never waits: an idle server
-//! still serves singles at single-request latency.
+//! Every worker wakeup drains up to [`ServeConfig::max_batch`] queued
+//! requests, screens them once (shed, expired, malformed), parks the
+//! rest, and serves them as a sequence of *passes* (see
+//! [`serve_parked`]): each pass is one rung of the degradation ladder,
+//! one staged dv-core call and one response builder, whatever its
+//! width. Under burst load queue depth becomes pass width instead of
+//! `QueueFull` rejections; coalescing never waits, so an idle server
+//! serves passes of one at single-request latency.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use dv_core::{DeepValidator, ScoreError, ScoreWorkspace};
+use dv_core::{validate_plan_input, DeepValidator, ScoreError, ScoreWorkspace};
 use dv_drift::{DriftEvent, DriftMonitor};
 use dv_nn::InferencePlan;
 use dv_runtime::{oneshot, BoundedQueue, Crew, Drained, HoldingPen, Popped, Promise, PushRejected};
 use dv_tensor::Tensor;
+use dv_trace::now_ns;
 
 use crate::config::{BreakerConfig, ServeConfig, ShutdownPolicy};
 use crate::metrics::{names, Metrics, MetricsSnapshot};
@@ -30,10 +33,10 @@ const POP_TICK: Duration = Duration::from_millis(5);
 /// How often the monitor reaps and respawns crashed workers.
 const SUPERVISE_TICK: Duration = Duration::from_millis(1);
 
-/// Safety factor between the remaining deadline budget and a rung's
-/// warmup-measured cost: a rung is only chosen when the budget is at
-/// least twice its estimate, so normal jitter does not turn a chosen
-/// rung into a deadline miss. The same margin guards batch admission.
+/// Safety factor between the remaining deadline budget and a pass's
+/// estimated cost: a rung is only chosen, and a pass only grows, while
+/// every member's budget is at least twice the estimate, so normal
+/// jitter does not turn a chosen pass into a deadline miss.
 const RUNG_MARGIN: u64 = 2;
 
 /// Fallback `retry_after` before any job has been drained (no observed
@@ -47,12 +50,11 @@ const RETRY_AFTER_DEFAULT_US: u64 = 1_000;
 struct Job {
     image: Tensor,
     promise: Promise<Outcome>,
-    submitted: Instant,
-    deadline: Instant,
     seq: u64,
-    /// Submission time on the trace epoch, for the `serve.queued` span
-    /// (0 when tracing is compiled out).
+    /// Submission time and deadline on the trace clock
+    /// ([`dv_trace::now_ns`]), the server's only clock.
     submitted_ns: u64,
+    deadline_ns: u64,
     /// Request-scoped trace id (`seq + 1`), assigned in `try_submit`
     /// whether or not tracing is compiled in so responses always carry
     /// it.
@@ -95,52 +97,40 @@ struct Shared {
     /// Record spans for every `trace_sample`-th request (1 = all); from
     /// `DV_TRACE_SAMPLE`, cached at server start.
     trace_sample: u64,
-    start: Instant,
+    /// Server start on the trace clock.
+    start_ns: u64,
     /// Cleared at the start of shutdown: submissions are refused.
     accepting: AtomicBool,
-    /// Set during a [`ShutdownPolicy::Shed`] drain: popped jobs are
+    /// Set during a [`ShutdownPolicy::Shed`] drain: drained jobs are
     /// failed with [`ScoreError::Shutdown`] instead of served.
     shedding: AtomicBool,
     /// Tells the monitor loop to exit.
     stop_monitor: AtomicBool,
     /// Monotone request sequence numbers (also the fault-injection key).
     seq: AtomicU64,
-    /// Per-slot crash timestamps (µs since server start, 0 = none):
-    /// written when an incarnation unwinds, consumed by the respawned
+    /// Per-slot crash timestamps on the trace clock (0 = none): written
+    /// when an incarnation unwinds, consumed by the respawned
     /// incarnation to report its crash-to-recovered interval.
-    crash_stamp_us: Vec<AtomicU64>,
+    crash_stamp_ns: Vec<AtomicU64>,
     /// Per-slot crash-retry holding pen: a worker parks everything it
-    /// drained (coalesced batch members first, then the jobs it will
-    /// serve singly) here *before* scoring anything, so a panic
-    /// anywhere in the wakeup leaves every not-yet-served promise
-    /// intact for a single-image retry on the respawned incarnation.
-    /// The [`HoldingPen`] API holds its lock only inside each call —
-    /// never across scoring — and incarnations of one slot are
-    /// serialized by the supervisor, so it cannot be contended into a
-    /// stall.
+    /// drained here *before* scoring anything, and a pass's members stay
+    /// parked while they score, so a panic anywhere in the wakeup
+    /// leaves every not-yet-served promise intact for a retry on the
+    /// respawned incarnation. The [`HoldingPen`] API holds its lock only
+    /// inside each call — never across scoring — and incarnations of one
+    /// slot are serialized by the supervisor, so it cannot be contended
+    /// into a stall.
     parked: Vec<HoldingPen<Job>>,
-    /// Per-slot flag: a *single* (non-batch) request is being scored. A
-    /// panic with this set is a terminal per-request crash — there is no
-    /// parked copy to retry — so `worker_body` counts it in
-    /// `requests_crashed`.
-    single_in_flight: Vec<AtomicBool>,
+    /// Per-slot flag: a width-1 pass is scoring. Its member, at the
+    /// front of the pen, is on its own attempt, so a panic with this set
+    /// is that request's terminal crash (see `worker_body`).
+    alone_in_flight: Vec<AtomicBool>,
     /// Total jobs drained off the queue by workers, for the observed
     /// drain rate behind [`Rejected::QueueFull`]'s `retry_after`.
     popped_jobs: AtomicU64,
-    /// Per-slot trace id of the single request currently being scored
-    /// (0 = none / unsampled), so `worker_body` can attribute a crash
-    /// event to the request that died with the worker. The matching
-    /// causal parent lives in `inflight_parent`.
-    inflight_trace: Vec<AtomicU64>,
-    /// Per-slot causal parent for the in-flight single's crash event.
-    inflight_parent: Vec<AtomicU64>,
 }
 
 impl Shared {
-    fn elapsed_us(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
-    }
-
     /// Whether request `seq`'s lifecycle events should be recorded:
     /// tracing is compiled in *and* the request falls in the
     /// deterministic `DV_TRACE_SAMPLE` sample. `tracing_enabled()` is a
@@ -156,26 +146,46 @@ impl Shared {
     /// fixed default before any job has been drained.
     fn retry_after(&self) -> Duration {
         let popped = self.popped_jobs.load(Ordering::SeqCst);
-        let us = self
-            .elapsed_us()
+        let us = (now_ns().saturating_sub(self.start_ns) / 1_000)
             .checked_div(popped)
             .map_or(RETRY_AFTER_DEFAULT_US, |per_job| per_job.clamp(50, 100_000));
         Duration::from_micros(us)
     }
+
+    /// Whether request `seq` is served [`ServedVia::DriftDegraded`]: the
+    /// breaker is open and `seq` is not one of its probes.
+    fn drift_degraded(&self, seq: u64) -> bool {
+        self.breaker.as_ref().is_some_and(|b| {
+            let probe = b.cfg.probe_every > 0 && seq.is_multiple_of(b.cfg.probe_every);
+            !probe && b.open.load(Ordering::SeqCst)
+        })
+    }
 }
 
-/// Warmup-measured per-rung cost estimates for one worker incarnation,
-/// refined online (see [`refine_estimate`]) from observed scoring times
-/// so a noisy warmup cannot permanently miscalibrate the ladder.
+/// Per-image cost of each rung (µs) for one worker incarnation: seeded
+/// by warm-up, then refined online from every pass (pass time ÷ width,
+/// see [`refine_estimate`]) so a noisy warm-up cannot permanently
+/// miscalibrate the ladder.
+#[derive(Debug, Clone, Copy)]
 struct RungEstimates {
     full_us: u64,
     reduced_us: u64,
-    /// Amortized per-image cost inside a stacked batch (≤ `full_us`:
-    /// the GEMM amortizes packing across rows).
-    batch_item_us: u64,
+    confidence_us: u64,
 }
 
-/// 4:1 EWMA of an estimate toward an observed scoring duration. Warmup
+impl RungEstimates {
+    /// The estimate that prices rung `via`; drift-degraded requests are
+    /// scored confidence-only, so they share that rung's cost.
+    fn of(&mut self, via: ServedVia) -> &mut u64 {
+        match via {
+            ServedVia::FullJoint => &mut self.full_us,
+            ServedVia::ReducedTaps { .. } => &mut self.reduced_us,
+            ServedVia::ConfidenceOnly | ServedVia::DriftDegraded => &mut self.confidence_us,
+        }
+    }
+}
+
+/// 4:1 EWMA of an estimate toward an observed per-image cost. Warm-up
 /// (min over a few reps on an otherwise idle thread) seeds the value;
 /// this keeps it honest over the incarnation's lifetime, which is what
 /// makes the deadline sweep monotone — the seed repo's 750µs-beats-1000µs
@@ -186,37 +196,175 @@ fn refine_estimate(est: &mut u64, observed_us: u64) {
 }
 
 /// The degradation ladder's decision: richest rung whose estimated cost,
-/// padded by [`RUNG_MARGIN`], fits the remaining deadline budget.
+/// padded by [`RUNG_MARGIN`], fits the remaining deadline budget, where
+/// the reduced rung keeps `reduced` validated layers (0 = disabled).
 /// Confidence-only is the unconditional floor — any request that has not
 /// already expired gets at least a prediction.
-fn pick_rung(remaining_us: u64, est: &RungEstimates, reduced_enabled: bool) -> Rung {
+fn pick_rung(remaining_us: u64, est: &RungEstimates, reduced: usize) -> ServedVia {
     if remaining_us >= est.full_us.saturating_mul(RUNG_MARGIN) {
-        Rung::Full
-    } else if reduced_enabled && remaining_us >= est.reduced_us.saturating_mul(RUNG_MARGIN) {
-        Rung::Reduced
+        ServedVia::FullJoint
+    } else if reduced > 0 && remaining_us >= est.reduced_us.saturating_mul(RUNG_MARGIN) {
+        ServedVia::ReducedTaps { validated: reduced }
     } else {
-        Rung::Confidence
+        ServedVia::ConfidenceOnly
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Rung {
-    Full,
-    Reduced,
-    Confidence,
+/// What pass formation sees of one parked request as a pass opens.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    /// Deadline budget left, µs (0 once expired).
+    remaining_us: u64,
+    /// The drift breaker serves it [`ServedVia::DriftDegraded`] whatever
+    /// its budget.
+    drift_degraded: bool,
+    /// An injected latency spike: it is always scored alone, so it
+    /// cannot stall anyone else's deadline.
+    spiking: bool,
+}
+
+/// Forms one pass from the parked requests, visited oldest first. The
+/// first opens the pass and fixes its rung — exactly the rung it would
+/// get served alone. A later one joins when it would get that same rung
+/// alone, neither it nor the opener is spiking, the pass is below
+/// `max_width`, and every member's budget still covers the grown pass:
+/// `min(remaining) ≥ RUNG_MARGIN × est[rung] × width`. Decisions never
+/// look past the budgets already admitted, so no member is coalesced
+/// into a miss.
+struct PassForm {
+    est: RungEstimates,
+    /// Validated layers the reduced rung keeps (0 = rung disabled).
+    reduced: usize,
+    max_width: usize,
+    /// The pass's rung once its opener is seen.
+    via: Option<ServedVia>,
+    width: usize,
+    min_remaining_us: u64,
+    alone: bool,
+}
+
+impl PassForm {
+    fn new(est: RungEstimates, reduced: usize, max_width: usize) -> Self {
+        Self {
+            est,
+            reduced,
+            max_width,
+            via: None,
+            width: 0,
+            min_remaining_us: u64::MAX,
+            alone: false,
+        }
+    }
+
+    /// Whether `c` opens or joins the pass.
+    fn admit(&mut self, c: Candidate) -> bool {
+        let via = if c.drift_degraded {
+            ServedVia::DriftDegraded
+        } else {
+            pick_rung(c.remaining_us, &self.est, self.reduced)
+        };
+        let width = self.width + 1;
+        let min_remaining_us = self.min_remaining_us.min(c.remaining_us);
+        let joins = match self.via {
+            None => true,
+            Some(pass_via) => {
+                let cost_us = self.est.of(via).saturating_mul(width as u64);
+                via == pass_via
+                    && !(self.alone || c.spiking)
+                    && width <= self.max_width
+                    && min_remaining_us >= cost_us.saturating_mul(RUNG_MARGIN)
+            }
+        };
+        if joins {
+            self.via = Some(via);
+            self.width = width;
+            self.min_remaining_us = min_remaining_us;
+            self.alone |= c.spiking;
+        }
+        joins
+    }
 }
 
 /// Per-incarnation worker state: scratch buffers, the reduced-rung tap
 /// list, and the (mutable, online-refined) rung cost estimates.
 struct WorkerCtx {
     sw: ScoreWorkspace,
-    per_layer: Vec<f32>,
-    /// Batch scoring outputs, reused across batches.
+    /// Per-pass scoring outputs, reused across passes.
     results: Vec<(usize, f32)>,
-    batch_pl: Vec<f32>,
+    per_layer: Vec<f32>,
     reduced_keep: Vec<usize>,
     est: RungEstimates,
     max_batch: usize,
+}
+
+impl WorkerCtx {
+    /// A fresh incarnation's state (a respawn never sees a crashed
+    /// predecessor's buffers), warmed on zeros images: one `max_batch`
+    /// pass grows the workspace to its steady allocation-free size, then
+    /// every rung is timed at width 1 — min over a few reps, so a cold
+    /// first pass does not inflate the estimate.
+    fn warmed(shared: &Shared) -> Self {
+        const REPS: usize = 3;
+        dv_trace::span!("serve.warmup");
+        let max_batch = shared.cfg.max_batch.max(1);
+        let mut ctx = Self {
+            sw: ScoreWorkspace::new(),
+            results: Vec::new(),
+            per_layer: Vec::new(),
+            reduced_keep: reduced_keep_list(shared),
+            est: RungEstimates {
+                full_us: u64::MAX,
+                reduced_us: u64::MAX,
+                confidence_us: u64::MAX,
+            },
+            max_batch,
+        };
+        ctx.sw.reserve_for_batch(&shared.plan, max_batch);
+        let dummy = Tensor::zeros(shared.plan.input_dims());
+        for width in [max_batch, 1] {
+            ctx.sw.begin_batch();
+            for _ in 0..width {
+                ctx.sw
+                    .stage_image(&shared.plan, &dummy)
+                    .expect("zeros warm-up image always matches the plan input");
+            }
+            ctx.score_staged(shared, ServedVia::FullJoint);
+        }
+        let rungs = [
+            ServedVia::FullJoint,
+            ServedVia::ReducedTaps {
+                validated: ctx.reduced_keep.len(),
+            },
+            ServedVia::ConfidenceOnly,
+        ];
+        for _ in 0..REPS {
+            for via in rungs {
+                let t0 = now_ns();
+                ctx.score_staged(shared, via);
+                let us = (now_ns() - t0) / 1_000;
+                let est = ctx.est.of(via);
+                *est = (*est).min(us.max(1));
+            }
+        }
+        ctx
+    }
+
+    /// Scores the staged pass on rung `via` through the one staged
+    /// dv-core entry point.
+    fn score_staged(&mut self, shared: &Shared, via: ServedVia) {
+        let keep: Option<&[usize]> = match via {
+            ServedVia::FullJoint => None,
+            ServedVia::ReducedTaps { .. } => Some(&self.reduced_keep),
+            ServedVia::ConfidenceOnly | ServedVia::DriftDegraded => Some(&[]),
+        };
+        shared.validator.score_staged_into(
+            &shared.plan,
+            keep,
+            &mut self.sw,
+            &mut self.results,
+            &mut self.per_layer,
+        );
+    }
 }
 
 /// A running scoring server. Dropping it without
@@ -252,17 +400,15 @@ impl Server {
             metrics: Metrics::new(),
             breaker,
             trace_sample: dv_runtime::config::trace_sample_every(),
-            start: Instant::now(),
+            start_ns: now_ns(),
             accepting: AtomicBool::new(true),
             shedding: AtomicBool::new(false),
             stop_monitor: AtomicBool::new(false),
             seq: AtomicU64::new(0),
-            crash_stamp_us: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            crash_stamp_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             parked: (0..workers).map(|_| HoldingPen::new()).collect(),
-            single_in_flight: (0..workers).map(|_| AtomicBool::new(false)).collect(),
+            alone_in_flight: (0..workers).map(|_| AtomicBool::new(false)).collect(),
             popped_jobs: AtomicU64::new(0),
-            inflight_trace: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            inflight_parent: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             validator,
             plan,
             cfg,
@@ -317,29 +463,33 @@ impl Server {
             return Err(Rejected::ShuttingDown);
         }
         let seq = self.shared.seq.fetch_add(1, Ordering::SeqCst);
-        let now = Instant::now();
+        let submitted_ns = now_ns();
+        let budget_ns = u64::try_from(self.shared.cfg.deadline.as_nanos()).unwrap_or(u64::MAX);
         let (promise, ticket) = oneshot();
         let trace = dv_trace::TraceId::from_seq(seq);
         // The enqueue event is recorded on the client thread *before*
-        // the push so its timestamp precedes every worker-side event; a
-        // rejected push leaves a dangling one-event timeline, which the
-        // stitcher tolerates (no segments, no flow arrows).
+        // the push, stamped with the submission reading itself, so it
+        // precedes every worker-side event and `total_us` starts where
+        // the timeline does; a rejected push leaves a dangling one-event
+        // timeline, which the stitcher tolerates (no segments, no flow
+        // arrows).
         let last_event = if self.shared.traced(seq) {
-            dv_trace::record_event("serve.enqueued", trace, dv_trace::EventRef::NONE, 0)
+            dv_trace::record_event(
+                "serve.enqueued",
+                submitted_ns,
+                trace,
+                dv_trace::EventRef::NONE,
+                0,
+            )
         } else {
             dv_trace::EventRef::NONE
         };
         let job = Job {
             image,
             promise,
-            submitted: now,
-            deadline: now + self.shared.cfg.deadline,
             seq,
-            submitted_ns: if dv_trace::tracing_enabled() {
-                dv_trace::now_ns()
-            } else {
-                0
-            },
+            submitted_ns,
+            deadline_ns: submitted_ns.saturating_add(budget_ns),
             trace,
             last_event,
         };
@@ -420,7 +570,7 @@ impl Server {
         }
         self.workers.join();
         // Pathological safety nets, reached only when a worker crashed
-        // with supervision already stopped: jobs it parked mid-batch (no
+        // with supervision already stopped: jobs it parked (no
         // incarnation left to retry them) and jobs still queued (every
         // worker dead mid-drain) are failed rather than left hanging.
         self.shed_parked();
@@ -479,6 +629,7 @@ fn ingest_drift_obs(shared: &Arc<Shared>, drift: Option<&mut DriftMonitor>, batc
                 // response can be traced back to the cause.
                 dv_trace::record_event(
                     "serve.breaker_open",
+                    now_ns(),
                     dv_trace::TraceId::from_seq(o.seq),
                     dv_trace::EventRef::NONE,
                     0,
@@ -489,6 +640,7 @@ fn ingest_drift_obs(shared: &Arc<Shared>, drift: Option<&mut DriftMonitor>, batc
                 shared.metrics.inc(names::BREAKER_CLOSED);
                 dv_trace::record_event(
                     "serve.breaker_close",
+                    now_ns(),
                     dv_trace::TraceId::from_seq(o.seq),
                     dv_trace::EventRef::NONE,
                     0,
@@ -503,88 +655,62 @@ fn ingest_drift_obs(shared: &Arc<Shared>, drift: Option<&mut DriftMonitor>, batc
 /// One worker incarnation: warm up, report recovery if this is a
 /// respawn, retry anything the crashed predecessor parked, then serve
 /// until the queue closes. A panic anywhere inside is caught here; if a
-/// single request was in flight its broken promise is the terminal
-/// crash outcome, while a parked batch survives for the next
-/// incarnation to retry.
+/// width-1 pass was scoring, the crash is its request's terminal
+/// outcome, while the members of a wider pass survive in the pen for
+/// the next incarnation to retry.
 fn worker_body(shared: &Arc<Shared>, slot: usize) {
     let crashed = catch_unwind(AssertUnwindSafe(|| worker_loop(shared, slot))).is_err();
-    if crashed {
-        shared.metrics.inc(names::WORKER_CRASHES);
-        if shared.single_in_flight[slot].swap(false, Ordering::SeqCst) {
-            // The unwound request had no parked copy: its dropped
-            // promise is a terminal WorkerCrashed outcome.
-            shared.metrics.inc(names::REQUESTS_CRASHED);
-        }
-        // Attribute the crash on the dying request's timeline. The
-        // stash is only non-zero while a sampled single is in flight;
-        // batch members record their own crash event before the panic
-        // (see `serve_batch`), since their promises survive in the pen.
-        let trace = shared.inflight_trace[slot].swap(0, Ordering::SeqCst);
-        let parent = shared.inflight_parent[slot].swap(0, Ordering::SeqCst);
-        if trace != 0 {
-            dv_trace::record_event(
-                "serve.crashed",
-                dv_trace::TraceId(trace),
-                dv_trace::EventRef(parent),
-                0,
-            );
-        }
-        shared.crash_stamp_us[slot].store(shared.elapsed_us().max(1), Ordering::SeqCst);
+    if !crashed {
+        return;
     }
+    shared.metrics.inc(names::WORKER_CRASHES);
+    if shared.alone_in_flight[slot].swap(false, Ordering::SeqCst) {
+        // The width-1 pass's member sits at the front of the pen; it
+        // was on its own attempt, so it is not retried.
+        if let Some(job) = shared.parked[slot].pop_front() {
+            shared.metrics.inc(names::REQUESTS_CRASHED);
+            if shared.traced(job.seq) {
+                dv_trace::record_event("serve.crashed", now_ns(), job.trace, job.last_event, 0);
+            }
+            job.promise.fulfill(Err(ScoreError::WorkerCrashed));
+        }
+    }
+    shared.crash_stamp_ns[slot].store(now_ns().max(1), Ordering::SeqCst);
 }
 
 fn worker_loop(shared: &Arc<Shared>, slot: usize) {
-    // Per-incarnation state: a fresh workspace (so a respawn can never
-    // see a crashed predecessor's buffers) sized for max_batch and
-    // warmed on dummy inputs, plus the rung cost estimates the
-    // degradation ladder consults.
-    let max_batch = shared.cfg.max_batch.max(1);
-    let mut sw = ScoreWorkspace::new();
-    sw.reserve_for_batch(&shared.plan, max_batch);
-    let mut ctx = WorkerCtx {
-        per_layer: Vec::new(),
-        results: Vec::new(),
-        batch_pl: Vec::new(),
-        reduced_keep: reduced_keep_list(shared),
-        est: RungEstimates {
-            full_us: 0,
-            reduced_us: 0,
-            batch_item_us: 0,
-        },
-        max_batch,
-        sw,
-    };
-    ctx.est = warm_up(shared, &mut ctx);
+    let mut ctx = WorkerCtx::warmed(shared);
 
     // If the previous incarnation of this slot crashed, the gap from its
     // crash to now (respawned, warmed, ready) is the recovery time.
-    let stamp = shared.crash_stamp_us[slot].swap(0, Ordering::SeqCst);
+    let stamp = shared.crash_stamp_ns[slot].swap(0, Ordering::SeqCst);
     if stamp != 0 {
         shared
             .metrics
-            .record_recovery(shared.elapsed_us().saturating_sub(stamp));
+            .record_recovery(now_ns().saturating_sub(stamp) / 1_000);
     }
 
-    // Crash-retry: whatever the crashed predecessor parked is re-scored
-    // singly, once each, before any new work — the batch that crashed
-    // never crashes the same requests into limbo twice.
-    serve_parked(shared, slot, &mut ctx, true);
+    // Crash-retry: whatever the crashed predecessor parked is served
+    // alone, once each, before any new work — a pass that crashed never
+    // crashes the same requests into limbo twice.
+    serve_parked(shared, slot, &mut ctx, now_ns(), true);
 
-    let mut drained: Vec<Job> = Vec::with_capacity(max_batch);
+    let mut drained: Vec<Job> = Vec::with_capacity(ctx.max_batch);
     loop {
-        drained.clear();
-        match shared.queue.drain_up_to(max_batch, POP_TICK, &mut drained) {
+        match shared
+            .queue
+            .drain_up_to(ctx.max_batch, POP_TICK, &mut drained)
+        {
             Drained::Items { taken, depth } => {
                 shared.popped_jobs.fetch_add(taken as u64, Ordering::SeqCst);
                 shared.metrics.set_queue_depth(depth as u64);
-                let drained_at = Instant::now();
-                for job in drained.iter_mut() {
-                    if shared.traced(job.seq) {
-                        job.last_event =
-                            dv_trace::record_event("serve.dequeued", job.trace, job.last_event, 0);
-                    }
-                }
-                serve_drained(shared, slot, &mut drained, &mut ctx, drained_at);
+                let drained_ns = now_ns();
+                shared.parked[slot].park(
+                    drained
+                        .drain(..)
+                        .filter_map(|job| triage(shared, job, drained_ns)),
+                );
+                serve_parked(shared, slot, &mut ctx, drained_ns, false);
             }
             Drained::Empty => {}
             Drained::Closed => return,
@@ -592,36 +718,32 @@ fn worker_loop(shared: &Arc<Shared>, slot: usize) {
     }
 }
 
-/// Pops the slot's holding pen one job at a time through the
-/// single-request path. With `as_retry` (a respawned incarnation
-/// recovering a crashed predecessor's pen), each pop counts in
-/// `batch_retried`; the job whose injected (or genuine) fault killed
-/// the batch will crash again here — with `single_in_flight` set, so
-/// exactly that request terminally counts as crashed — and the jobs
-/// still parked survive for the *next* incarnation, which resumes this
-/// drain. Without `as_retry` this is just the normal post-batch
-/// single-serve loop (jobs pass through the pen so none of them can be
-/// dropped promise-unfulfilled by a panic in an earlier single).
-fn serve_parked(shared: &Arc<Shared>, slot: usize, ctx: &mut WorkerCtx, as_retry: bool) {
-    loop {
-        let Some(mut job) = shared.parked[slot].pop_front() else {
-            return;
-        };
-        if as_retry {
-            shared.metrics.inc(names::BATCH_RETRIED);
-            if shared.traced(job.seq) {
-                job.last_event =
-                    dv_trace::record_event("serve.retried", job.trace, job.last_event, 0);
-            }
-        }
-        serve_job(shared, slot, job, ctx);
+/// Screens one drained job, once: it is answered here if the server is
+/// shedding, its deadline has passed, or its input is malformed, and
+/// returned for parking otherwise.
+fn triage(shared: &Shared, mut job: Job, now: u64) -> Option<Job> {
+    if shared.traced(job.seq) {
+        job.last_event =
+            dv_trace::record_event("serve.dequeued", now, job.trace, job.last_event, 0);
     }
+    let (counter, err) = if shared.shedding.load(Ordering::SeqCst) {
+        (names::SHED_SHUTDOWN, ScoreError::Shutdown)
+    } else if now >= job.deadline_ns {
+        (names::EXPIRED, ScoreError::DeadlineExpired)
+    } else if let Err(bad) = validate_plan_input(&shared.plan, &job.image) {
+        (names::BAD_INPUT, ScoreError::BadInput(bad))
+    } else {
+        return Some(job);
+    };
+    shared.metrics.inc(counter);
+    job.promise.fulfill(Err(err));
+    None
 }
 
 /// The trailing validated-probe positions the reduced rung keeps, or an
 /// empty list when the middle rung is disabled (no taps configured, or
 /// it would not actually be cheaper than full scoring).
-fn reduced_keep_list(shared: &Arc<Shared>) -> Vec<usize> {
+fn reduced_keep_list(shared: &Shared) -> Vec<usize> {
     let total = shared.validator.num_validated_layers();
     let keep = shared.cfg.reduced_taps.min(total);
     if keep == 0 || keep >= total {
@@ -630,540 +752,297 @@ fn reduced_keep_list(shared: &Arc<Shared>) -> Vec<usize> {
     (total - keep..total).collect()
 }
 
-/// Scores zeros-images through every rung a couple of times: grows the
-/// workspace to its steady allocation-free size and measures per-rung
-/// cost (min over reps, so a cold first pass does not inflate the
-/// estimate), including the amortized per-image cost of a full
-/// `max_batch` stacked pass.
-fn warm_up(shared: &Arc<Shared>, ctx: &mut WorkerCtx) -> RungEstimates {
-    const REPS: usize = 3;
-    dv_trace::span!("serve.warmup");
-    let dummy = Tensor::zeros(shared.plan.input_dims());
-    let mut full_us = u64::MAX;
-    let mut reduced_us = u64::MAX;
-    let mut batch_total_us = u64::MAX;
-    let batch_dummies: Vec<Tensor> = vec![dummy.clone(); ctx.max_batch];
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        shared
-            .validator
-            .score_into(&shared.plan, &dummy, &mut ctx.sw, &mut ctx.per_layer)
-            .expect("zeros warmup image always matches the plan input");
-        full_us = full_us.min(t0.elapsed().as_micros() as u64);
-        if !ctx.reduced_keep.is_empty() {
-            let t0 = Instant::now();
-            shared
-                .validator
-                .score_masked_into(
-                    &shared.plan,
-                    &dummy,
-                    &ctx.reduced_keep,
-                    &mut ctx.sw,
-                    &mut ctx.per_layer,
-                )
-                .expect("zeros warmup image always matches the plan input");
-            reduced_us = reduced_us.min(t0.elapsed().as_micros() as u64);
+/// One pass's shared facts: its rung, its width, and when it opened.
+#[derive(Clone, Copy)]
+struct Pass {
+    via: ServedVia,
+    width: usize,
+    opened_ns: u64,
+}
+
+/// Serves everything parked in the slot's pen as a sequence of passes,
+/// oldest first. Each pass opens on the oldest parked job and takes in
+/// later ones by the [`PassForm`] rule, decided at that moment: a lone
+/// job gets exactly the ladder's rung, and degraded or breaker-open
+/// requests coalesce like full ones. With `retry` (a respawned
+/// incarnation draining its crashed predecessor's pen) every pass has
+/// width 1 and counts in `batch_retried`.
+fn serve_parked(shared: &Shared, slot: usize, ctx: &mut WorkerCtx, drained_ns: u64, retry: bool) {
+    let max_width = if retry { 1 } else { ctx.max_batch };
+    loop {
+        let opened_ns = now_ns();
+        let mut form = PassForm::new(ctx.est, ctx.reduced_keep.len(), max_width);
+        let width = shared.parked[slot].hoist(|job| {
+            form.admit(Candidate {
+                remaining_us: job.deadline_ns.saturating_sub(opened_ns) / 1_000,
+                drift_degraded: shared.drift_degraded(job.seq),
+                spiking: spiking(shared, job.seq),
+            })
+        });
+        let Some(via) = form.via else {
+            return;
+        };
+        if retry {
+            shared.metrics.inc(names::BATCH_RETRIED);
         }
-        // Confidence-only rung: warmed implicitly (it is masked scoring
-        // with an empty keep list), and always affordable by definition.
-        shared
-            .validator
-            .score_masked_into(&shared.plan, &dummy, &[], &mut ctx.sw, &mut ctx.per_layer)
-            .expect("zeros warmup image always matches the plan input");
-        if ctx.max_batch > 1 {
-            let t0 = Instant::now();
-            shared
-                .validator
-                .score_batch_into(
-                    &shared.plan,
-                    &batch_dummies,
-                    &mut ctx.sw,
-                    &mut ctx.results,
-                    &mut ctx.batch_pl,
-                )
-                .expect("zeros warmup images always match the plan input");
-            batch_total_us = batch_total_us.min(t0.elapsed().as_micros() as u64);
-        }
-    }
-    RungEstimates {
-        full_us,
-        reduced_us: if ctx.reduced_keep.is_empty() {
-            0
-        } else {
-            reduced_us
-        },
-        batch_item_us: if ctx.max_batch > 1 {
-            (batch_total_us / ctx.max_batch as u64).max(1)
-        } else {
-            full_us.max(1)
-        },
+        let pass = Pass {
+            via,
+            width,
+            opened_ns,
+        };
+        serve_pass(shared, slot, ctx, pass, drained_ns, retry);
     }
 }
 
-/// Dispatches one drained wakeup's worth of jobs: a single job goes
-/// straight down the single-request path; several are partitioned by a
-/// greedy FIFO scan into one full-rung coalesced batch plus individual
-/// leftovers.
-///
-/// Admission to the batch is deadline-aware and never coalesces past
-/// the tightest deadline already admitted: a candidate joins only if
-/// *every* admitted member (and the candidate itself) could still
-/// afford a full batch of the grown size, i.e.
-/// `min(remaining budgets) ≥ RUNG_MARGIN × batch_item_us × (B + 1)`.
-/// Everything else — shed, expired, spiking, breaker-degraded,
-/// tight-budget, malformed — falls down the existing single-request
-/// degrade ladder individually.
-///
-/// Every job that survives partition is parked in the slot's holding
-/// pen (batch members first, then the singles) *before* anything is
-/// scored: a panic at any point of the wakeup — mid-batch or mid-single
-/// — leaves every not-yet-served promise recoverable.
-fn serve_drained(
-    shared: &Arc<Shared>,
-    slot: usize,
-    drained: &mut Vec<Job>,
-    ctx: &mut WorkerCtx,
-    drained_at: Instant,
-) {
-    if drained.len() == 1 {
-        let job = drained.pop().expect("length checked above");
-        serve_job(shared, slot, job, ctx);
-        return;
+/// Whether `seq` draws an injected latency spike.
+fn spiking(shared: &Shared, seq: u64) -> bool {
+    #[cfg(feature = "fault-inject")]
+    if let Some(faults) = &shared.cfg.faults {
+        return faults.spike_hits(seq);
     }
-    let now = Instant::now();
-    let mut batch_jobs: Vec<Job> = Vec::with_capacity(drained.len());
-    let mut singles: Vec<Job> = Vec::new();
-    let mut min_remaining_us = u64::MAX;
+    let _ = (shared, seq);
+    false
+}
+
+/// Scores one pass — the first `pass.width` jobs of the slot's pen —
+/// with one staged dv-core call and answers every member through
+/// [`respond`].
+///
+/// The members stay parked while they score. A panic in a pass of two
+/// or more therefore breaks no promise: the respawned incarnation
+/// retries each member alone. A width-1 pass is its member's own
+/// attempt, flagged in `alone_in_flight`, so a panic there is that
+/// request's terminal `WorkerCrashed` (see [`worker_body`]).
+fn serve_pass(
+    shared: &Shared,
+    slot: usize,
+    ctx: &mut WorkerCtx,
+    pass: Pass,
+    drained_ns: u64,
+    retry: bool,
+) {
+    let pen = &shared.parked[slot];
+    let Pass { via, width, .. } = pass;
+    shared.alone_in_flight[slot].store(width == 1, Ordering::SeqCst);
+    let mut sampled = false;
     ctx.sw.begin_batch();
-    for job in drained.drain(..) {
-        if shared.shedding.load(Ordering::SeqCst) || now >= job.deadline {
-            // Terminal either way; let the single path apply its
-            // existing shed/expired handling.
-            singles.push(job);
-            continue;
-        }
-        #[cfg(feature = "fault-inject")]
-        if let Some(faults) = &shared.cfg.faults {
-            if faults.spike_hits(job.seq) {
-                // A spiking request sleeps; keep it out of the batch so
-                // it cannot stall co-batched deadlines.
-                singles.push(job);
-                continue;
-            }
-        }
-        if let Some(b) = shared.breaker.as_ref() {
-            let probe = b.cfg.probe_every > 0 && job.seq % b.cfg.probe_every == 0;
-            if b.open.load(Ordering::SeqCst) && !probe {
-                // Must serve DriftDegraded, not full: single path.
-                singles.push(job);
-                continue;
-            }
-        }
-        let remaining_us = job.deadline.duration_since(now).as_micros() as u64;
-        let grown = batch_jobs.len() as u64 + 1;
-        let cost_us = ctx.est.batch_item_us.saturating_mul(grown);
-        if min_remaining_us.min(remaining_us) < cost_us.saturating_mul(RUNG_MARGIN) {
-            singles.push(job);
-            continue;
-        }
-        match ctx.sw.stage_image(&shared.plan, &job.image) {
-            Ok(()) => {
-                min_remaining_us = min_remaining_us.min(remaining_us);
-                batch_jobs.push(job);
-            }
-            Err(e) => {
-                // Malformed input: terminal right here, exactly as the
-                // single path would decide (staging is validation).
-                shared.metrics.inc(names::BAD_INPUT);
-                job.promise.fulfill(Err(e));
-            }
-        }
-    }
-    let n = batch_jobs.len();
-    if n >= 2 {
-        for job in batch_jobs.iter_mut() {
-            if shared.traced(job.seq) {
-                job.last_event = dv_trace::record_event(
-                    "serve.batch_joined",
-                    job.trace,
-                    job.last_event,
-                    n as u64,
-                );
-            }
-        }
-    } else {
-        for job in batch_jobs.iter_mut() {
-            if shared.traced(job.seq) {
-                job.last_event =
-                    dv_trace::record_event("serve.parked", job.trace, job.last_event, 0);
-            }
-        }
-    }
-    for job in singles.iter_mut() {
+    pen.for_front_mut(width, |job| {
         if shared.traced(job.seq) {
-            job.last_event = dv_trace::record_event("serve.parked", job.trace, job.last_event, 0);
-        }
-    }
-    shared.parked[slot].park(batch_jobs);
-    shared.parked[slot].park(singles);
-    if n >= 2 {
-        serve_batch(shared, slot, n, ctx, drained_at);
-    }
-    // A "batch" of one gains nothing over the single path (its staged
-    // pixels are simply discarded by the next begin_batch); it is the
-    // front of the pen and serves singly like the rest.
-    serve_parked(shared, slot, ctx, false);
-}
-
-/// Scores one coalesced batch — the first `n` jobs of the slot's
-/// holding pen, already staged into `ctx.sw` in pen order — through a
-/// single stacked forward pass and fulfills every member with a
-/// full-joint response.
-///
-/// The jobs were parked *before* this is called: a panic anywhere in
-/// here (fault injection or a genuine scoring bug) leaves every promise
-/// intact inside the pen, where the respawned incarnation retries them
-/// singly.
-fn serve_batch(
-    shared: &Arc<Shared>,
-    slot: usize,
-    n: usize,
-    ctx: &mut WorkerCtx,
-    drained_at: Instant,
-) {
-    dv_trace::span!("serve.batch");
-    if dv_trace::tracing_enabled() {
-        let now_ns = dv_trace::now_ns();
-        shared.parked[slot].for_front(n, |job| {
-            dv_trace::record_raw("serve.queued", job.submitted_ns, now_ns);
-        });
-    }
-    #[cfg(feature = "fault-inject")]
-    if let Some(faults) = &shared.cfg.faults {
-        let mut panic_seq = None;
-        shared.parked[slot].for_front(n, |job| {
-            if panic_seq.is_none() && faults.panic_hits(job.seq) {
-                panic_seq = Some(job.seq);
+            sampled = true;
+            let (at, id, mut parent) = (pass.opened_ns, job.trace, job.last_event);
+            dv_trace::record_raw("serve.queued", job.submitted_ns, at);
+            if retry {
+                parent = dv_trace::record_event("serve.retried", at, id, parent, 0);
             }
-        });
-        if let Some(seq) = panic_seq {
-            // The guilty member's crash shows on its own timeline (its
-            // promise survives in the pen, so `worker_body`'s
-            // single-in-flight stash never sees it).
-            shared.parked[slot].for_front_mut(n, |job| {
-                if job.seq == seq && shared.traced(job.seq) {
-                    job.last_event =
-                        dv_trace::record_event("serve.crashed", job.trace, job.last_event, 0);
-                }
-            });
-            // The members are parked, so this unwind breaks no promise:
-            // the respawned incarnation retries each singly, and only
-            // the guilty request (which deterministically re-panics)
-            // terminally crashes.
-            panic!("injected fault: worker panic on request {seq} (mid-batch)");
+            if width > 1 {
+                parent = dv_trace::record_event("serve.batch_joined", at, id, parent, width as u64);
+            }
+            if via != ServedVia::FullJoint {
+                parent = dv_trace::record_event("serve.degraded", at, id, parent, via.code());
+            }
+            job.last_event = parent;
         }
-    }
-
-    let t0 = Instant::now();
-    shared
-        .metrics
-        .record_coalesce_wait_us(t0.duration_since(drained_at).as_micros() as u64);
-    shared.parked[slot].for_front_mut(n, |job| {
-        if shared.traced(job.seq) {
-            job.last_event = dv_trace::record_event(
-                "serve.score_begin",
-                job.trace,
-                job.last_event,
-                ServedVia::FullJoint.code(),
-            );
-        }
+        ctx.sw
+            .stage_image(&shared.plan, &job.image)
+            .expect("triage validated every parked image");
     });
-    shared.validator.score_staged_into(
-        &shared.plan,
-        &mut ctx.sw,
-        &mut ctx.results,
-        &mut ctx.batch_pl,
-    );
-    let scoring_us = t0.elapsed().as_micros() as u64;
-    refine_estimate(&mut ctx.est.batch_item_us, (scoring_us / n as u64).max(1));
-    shared.parked[slot].for_front_mut(n, |job| {
-        if shared.traced(job.seq) {
-            job.last_event =
-                dv_trace::record_event("serve.score_end", job.trace, job.last_event, 0);
-        }
-    });
-
-    let mut jobs: Vec<Job> = shared.parked[slot].release_front(n);
-    debug_assert_eq!(ctx.results.len(), n, "one result per staged image");
-    shared.metrics.record_batch(n as u64);
-    let width = ctx.batch_pl.len() / n;
-    for (bi, mut job) in jobs.drain(..).enumerate() {
-        let row = &ctx.batch_pl[bi * width..(bi + 1) * width];
-        let (predicted, confidence) = ctx.results[bi];
-        let joint: f32 = row.iter().sum();
-        // Per-member finish: member `bi`'s response genuinely leaves after
-        // the first `bi` promises are fulfilled, and the traced
-        // enqueued→responded window includes that drain — a shared batch
-        // timestamp would under-report wall time for later members.
-        let finish = Instant::now();
-        let total_us = finish.duration_since(job.submitted).as_micros() as u64;
-        let deadline_met = finish <= job.deadline;
-        shared.metrics.inc(names::SERVED_FULL);
-        if !deadline_met {
-            shared.metrics.inc(names::DEADLINE_MISSED);
-        }
-        shared.metrics.record_latency_us(total_us, job.trace.0);
-        if shared.traced(job.seq) {
-            job.last_event =
-                dv_trace::record_event("serve.responded", job.trace, job.last_event, 0);
-        }
-        if let Some(b) = shared.breaker.as_ref() {
-            if b.obs
-                .try_push(Obs {
-                    seq: job.seq,
-                    joint,
-                })
-                .is_err()
-            {
-                shared.metrics.inc(names::DRIFT_OBS_DROPPED);
-            }
-        }
-        job.promise.fulfill(Ok(ScoreResponse {
-            predicted,
-            confidence,
-            per_layer: row.to_vec(),
-            joint: Some(joint),
-            via: ServedVia::FullJoint,
-            queue_us: t0.duration_since(job.submitted).as_micros() as u64,
-            total_us,
-            deadline_met,
-            worker: slot,
-            seq: job.seq,
-            trace: job.trace.0,
-            batch: n,
-        }));
-    }
-}
-
-/// Serves one request through the single-image path, flagging the slot
-/// as having a non-recoverable request in flight for the duration (a
-/// panic in here is a terminal per-request crash — see `worker_body`).
-fn serve_job(shared: &Arc<Shared>, slot: usize, job: Job, ctx: &mut WorkerCtx) {
-    if shared.traced(job.seq) {
-        // Stash the identity for crash attribution: if this request
-        // panics the worker, `worker_body` records `serve.crashed` on
-        // its timeline from here (the job itself is gone by then).
-        shared.inflight_trace[slot].store(job.trace.0, Ordering::SeqCst);
-        shared.inflight_parent[slot].store(job.last_event.0, Ordering::SeqCst);
-    }
-    shared.single_in_flight[slot].store(true, Ordering::SeqCst);
-    serve_single(shared, slot, job, ctx);
-    shared.single_in_flight[slot].store(false, Ordering::SeqCst);
-    shared.inflight_trace[slot].store(0, Ordering::SeqCst);
-    shared.inflight_parent[slot].store(0, Ordering::SeqCst);
-}
-
-fn serve_single(shared: &Arc<Shared>, slot: usize, job: Job, ctx: &mut WorkerCtx) {
-    let Job {
-        image,
-        promise,
-        submitted,
-        deadline,
-        seq,
-        submitted_ns,
-        trace,
-        mut last_event,
-    } = job;
-    let picked = Instant::now();
-    let queue_us = picked.duration_since(submitted).as_micros() as u64;
-    // Deterministic 1-in-N trace sampling (`DV_TRACE_SAMPLE`), keyed on
-    // the request sequence number so the sampled set is reproducible
-    // regardless of worker interleaving. Telemetry (metrics, drift
-    // observations) is never sampled — only spans.
-    let _sample =
-        dv_trace::sample_scope(shared.trace_sample <= 1 || seq % shared.trace_sample == 0);
-    // Request lifecycle on the trace timeline: the queue wait as a
-    // retroactive span (submission to pick-up), then everything from
-    // pick-up to fulfilment — including a crash unwinding through the
-    // guard — under one `serve.request` span.
-    if dv_trace::tracing_enabled() {
-        dv_trace::record_raw("serve.queued", submitted_ns, dv_trace::now_ns());
-    }
-    dv_trace::span!("serve.request");
-
-    if shared.shedding.load(Ordering::SeqCst) {
-        shared.metrics.inc(names::SHED_SHUTDOWN);
-        promise.fulfill(Err(ScoreError::Shutdown));
-        return;
-    }
+    // Spans inside the pass follow the deterministic `DV_TRACE_SAMPLE`
+    // sample; telemetry (metrics, drift observations) never does.
+    let _sample = dv_trace::sample_scope(sampled);
+    dv_trace::span!("serve.pass");
 
     #[cfg(feature = "fault-inject")]
     if let Some(faults) = &shared.cfg.faults {
-        if faults.spike_hits(seq) {
+        let (mut spike, mut guilty) = (false, None);
+        pen.for_front(width, |job| {
+            spike |= faults.spike_hits(job.seq);
+            if guilty.is_none() && faults.panic_hits(job.seq) {
+                guilty = Some(job.seq);
+            }
+        });
+        if spike {
+            // Pass formation scores a spiking request alone.
             std::thread::sleep(faults.spike);
         }
-    }
-
-    let now = Instant::now();
-    if now >= deadline {
-        shared.metrics.inc(names::EXPIRED);
-        promise.fulfill(Err(ScoreError::DeadlineExpired));
-        return;
-    }
-
-    #[cfg(feature = "fault-inject")]
-    if let Some(faults) = &shared.cfg.faults {
-        if faults.panic_hits(seq) {
-            // The unwind drops `promise`, so exactly this request's
-            // ticket observes the crash; worker_body catches the unwind
-            // and leaves the crash stamp for the respawn.
+        if let Some(seq) = guilty {
+            if width > 1 {
+                // The guilty member's crash shows on its own timeline;
+                // its promise survives in the pen for the retry.
+                pen.for_front_mut(width, |job| {
+                    if job.seq == seq && shared.traced(job.seq) {
+                        let (at, parent) = (now_ns(), job.last_event);
+                        job.last_event =
+                            dv_trace::record_event("serve.crashed", at, job.trace, parent, 0);
+                    }
+                });
+            }
             panic!("injected fault: worker panic on request {seq}");
         }
     }
 
-    let remaining_us = deadline.saturating_duration_since(now).as_micros() as u64;
-    let mut via = match pick_rung(remaining_us, &ctx.est, !ctx.reduced_keep.is_empty()) {
-        Rung::Full => ServedVia::FullJoint,
-        Rung::Reduced => ServedVia::ReducedTaps {
-            validated: ctx.reduced_keep.len(),
-        },
-        Rung::Confidence => ServedVia::ConfidenceOnly,
-    };
-
-    // An open drift breaker overrides the deadline ladder: the stream no
-    // longer matches the calibration reference, so serve degraded —
-    // except deterministic probe requests, which keep their ladder rung
-    // so the monitor can observe recovery through them.
-    if let Some(b) = shared.breaker.as_ref() {
-        if b.open.load(Ordering::SeqCst) {
-            let probe = b.cfg.probe_every > 0 && seq % b.cfg.probe_every == 0;
-            if !probe {
-                via = ServedVia::DriftDegraded;
+    let begin_ns = now_ns();
+    if width > 1 {
+        shared
+            .metrics
+            .record_coalesce_wait_us(begin_ns.saturating_sub(drained_ns) / 1_000);
+    }
+    if dv_trace::tracing_enabled() {
+        pen.for_front_mut(width, |job| {
+            if shared.traced(job.seq) {
+                let (id, parent) = (job.trace, job.last_event);
+                job.last_event =
+                    dv_trace::record_event("serve.score_begin", begin_ns, id, parent, via.code());
             }
-        }
+        });
+    }
+    ctx.score_staged(shared, via);
+    let end_ns = now_ns();
+    // Keep the ladder honest: fold the observed per-image cost into the
+    // rung's running estimate.
+    refine_estimate(ctx.est.of(via), (end_ns - begin_ns) / 1_000 / width as u64);
+    if dv_trace::tracing_enabled() {
+        pen.for_front_mut(width, |job| {
+            if shared.traced(job.seq) {
+                let parent = job.last_event;
+                job.last_event =
+                    dv_trace::record_event("serve.score_end", end_ns, job.trace, parent, 0);
+            }
+        });
     }
 
-    if shared.traced(seq) {
-        if via != ServedVia::FullJoint {
-            last_event = dv_trace::record_event("serve.degraded", trace, last_event, via.code());
-        }
-        last_event = dv_trace::record_event("serve.score_begin", trace, last_event, via.code());
+    shared.alone_in_flight[slot].store(false, Ordering::SeqCst);
+    let jobs = pen.release_front(width);
+    if width > 1 {
+        shared.metrics.record_batch(width as u64);
     }
-    let t_score = Instant::now();
-    let scored =
-        match via {
-            ServedVia::FullJoint => {
-                shared
-                    .validator
-                    .score_into(&shared.plan, &image, &mut ctx.sw, &mut ctx.per_layer)
-            }
-            ServedVia::ReducedTaps { .. } => shared.validator.score_masked_into(
-                &shared.plan,
-                &image,
-                &ctx.reduced_keep,
-                &mut ctx.sw,
-                &mut ctx.per_layer,
-            ),
-            ServedVia::ConfidenceOnly | ServedVia::DriftDegraded => shared
-                .validator
-                .score_masked_into(&shared.plan, &image, &[], &mut ctx.sw, &mut ctx.per_layer),
+    let row = ctx.per_layer.len() / width;
+    for (i, job) in jobs.into_iter().enumerate() {
+        respond(
+            shared,
+            slot,
+            job,
+            pass,
+            ctx.results[i],
+            &ctx.per_layer[i * row..(i + 1) * row],
+        );
+    }
+}
+
+/// The one response builder: answers a scored pass member, with its
+/// served and deadline counters, latency sample, drift observation and
+/// `serve.responded` event. The latency and the event share one clock
+/// reading, so a stitched timeline reproduces `total_us` exactly.
+fn respond(
+    shared: &Shared,
+    slot: usize,
+    job: Job,
+    pass: Pass,
+    (predicted, confidence): (usize, f32),
+    per_layer: &[f32],
+) {
+    let finish_ns = now_ns();
+    let total_us = finish_ns.saturating_sub(job.submitted_ns) / 1_000;
+    let deadline_met = finish_ns <= job.deadline_ns;
+    shared.metrics.inc(match pass.via {
+        ServedVia::FullJoint => names::SERVED_FULL,
+        ServedVia::ReducedTaps { .. } => names::SERVED_REDUCED,
+        ServedVia::ConfidenceOnly => names::SERVED_CONFIDENCE,
+        ServedVia::DriftDegraded => names::SERVED_DRIFT_DEGRADED,
+    });
+    if !deadline_met {
+        shared.metrics.inc(names::DEADLINE_MISSED);
+    }
+    shared.metrics.record_latency_us(total_us, job.trace.0);
+    if shared.traced(job.seq) {
+        dv_trace::record_event("serve.responded", finish_ns, job.trace, job.last_event, 0);
+    }
+    let joint = (pass.via == ServedVia::FullJoint).then(|| per_layer.iter().sum::<f32>());
+    // Every full-joint score feeds the drift monitor (including probes
+    // while the breaker is open).
+    if let (Some(joint), Some(b)) = (joint, shared.breaker.as_ref()) {
+        let obs = Obs {
+            seq: job.seq,
+            joint,
         };
-    if shared.traced(seq) {
-        last_event = dv_trace::record_event("serve.score_end", trace, last_event, 0);
-    }
-
-    match scored {
-        Ok((predicted, confidence)) => {
-            // Keep the ladder honest: fold each observed scoring time
-            // into the rung's running estimate.
-            let scoring_us = t_score.elapsed().as_micros() as u64;
-            match via {
-                ServedVia::FullJoint => refine_estimate(&mut ctx.est.full_us, scoring_us),
-                ServedVia::ReducedTaps { .. } => {
-                    refine_estimate(&mut ctx.est.reduced_us, scoring_us);
-                }
-                _ => {}
-            }
-            let finish = Instant::now();
-            let total_us = finish.duration_since(submitted).as_micros() as u64;
-            let deadline_met = finish <= deadline;
-            let served = match via {
-                ServedVia::FullJoint => names::SERVED_FULL,
-                ServedVia::ReducedTaps { .. } => names::SERVED_REDUCED,
-                ServedVia::ConfidenceOnly => names::SERVED_CONFIDENCE,
-                ServedVia::DriftDegraded => names::SERVED_DRIFT_DEGRADED,
-            };
-            shared.metrics.inc(served);
-            if !deadline_met {
-                shared.metrics.inc(names::DEADLINE_MISSED);
-            }
-            shared.metrics.record_latency_us(total_us, trace.0);
-            if shared.traced(seq) {
-                dv_trace::record_event("serve.responded", trace, last_event, 0);
-            }
-            let joint = match via {
-                ServedVia::FullJoint => Some(ctx.per_layer.iter().sum()),
-                _ => None,
-            };
-            // Every full-joint score feeds the drift monitor (including
-            // probes while the breaker is open).
-            if let (Some(j), Some(b)) = (joint, shared.breaker.as_ref()) {
-                if b.obs.try_push(Obs { seq, joint: j }).is_err() {
-                    shared.metrics.inc(names::DRIFT_OBS_DROPPED);
-                }
-            }
-            promise.fulfill(Ok(ScoreResponse {
-                predicted,
-                confidence,
-                per_layer: ctx.per_layer.clone(),
-                joint,
-                via,
-                queue_us,
-                total_us,
-                deadline_met,
-                worker: slot,
-                seq,
-                trace: trace.0,
-                batch: 1,
-            }));
-        }
-        Err(e) => {
-            if matches!(e, ScoreError::BadInput(_)) {
-                shared.metrics.inc(names::BAD_INPUT);
-            }
-            promise.fulfill(Err(e));
+        if b.obs.try_push(obs).is_err() {
+            shared.metrics.inc(names::DRIFT_OBS_DROPPED);
         }
     }
+    job.promise.fulfill(Ok(ScoreResponse {
+        predicted,
+        confidence,
+        per_layer: per_layer.to_vec(),
+        joint,
+        via: pass.via,
+        queue_us: pass.opened_ns.saturating_sub(job.submitted_ns) / 1_000,
+        total_us,
+        deadline_met,
+        worker: slot,
+        seq: job.seq,
+        trace: job.trace.0,
+        batch: pass.width,
+    }));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const EST: RungEstimates = RungEstimates {
+        full_us: 100,
+        reduced_us: 20,
+        confidence_us: 2,
+    };
+
+    fn cand(remaining_us: u64) -> Candidate {
+        Candidate {
+            remaining_us,
+            drift_degraded: false,
+            spiking: false,
+        }
+    }
+
+    /// One pass formed by `serve_parked`: its rung and its members.
+    type Formed = (ServedVia, Vec<Candidate>);
+
+    /// Runs pass formation over a burst the way `serve_parked` runs it
+    /// over the pen: each pass opens on the oldest pending request, its
+    /// members leave, and the next pass opens on what is left. Budgets
+    /// are taken as fixed (every pass opens at the same instant), which
+    /// is the worst case for admission — time only shrinks them.
+    fn form_passes(burst: &[Candidate], reduced: usize, max_width: usize) -> Vec<Formed> {
+        let mut pending = burst.to_vec();
+        let mut passes = Vec::new();
+        while !pending.is_empty() {
+            let mut form = PassForm::new(EST, reduced, max_width);
+            let (members, rest): (Vec<Candidate>, Vec<Candidate>) =
+                pending.iter().partition(|&&c| form.admit(c));
+            assert_eq!(members.len(), form.width);
+            passes.push((form.via.expect("a pending request opens a pass"), members));
+            pending = rest;
+        }
+        passes
+    }
+
     #[test]
     fn ladder_picks_the_richest_affordable_rung() {
-        let est = RungEstimates {
-            full_us: 100,
-            reduced_us: 20,
-            batch_item_us: 40,
-        };
-        assert_eq!(pick_rung(1_000, &est, true), Rung::Full);
-        assert_eq!(pick_rung(200, &est, true), Rung::Full);
-        assert_eq!(pick_rung(199, &est, true), Rung::Reduced);
-        assert_eq!(pick_rung(40, &est, true), Rung::Reduced);
-        assert_eq!(pick_rung(39, &est, true), Rung::Confidence);
-        assert_eq!(pick_rung(0, &est, true), Rung::Confidence);
+        let reduced = ServedVia::ReducedTaps { validated: 1 };
+        assert_eq!(pick_rung(1_000, &EST, 1), ServedVia::FullJoint);
+        assert_eq!(pick_rung(200, &EST, 1), ServedVia::FullJoint);
+        assert_eq!(pick_rung(199, &EST, 1), reduced);
+        assert_eq!(pick_rung(40, &EST, 1), reduced);
+        assert_eq!(pick_rung(39, &EST, 1), ServedVia::ConfidenceOnly);
+        assert_eq!(pick_rung(0, &EST, 1), ServedVia::ConfidenceOnly);
     }
 
     #[test]
     fn disabled_reduced_rung_degrades_straight_to_confidence() {
         let est = RungEstimates {
-            full_us: 100,
             reduced_us: 0,
-            batch_item_us: 100,
+            ..EST
         };
-        assert_eq!(pick_rung(199, &est, false), Rung::Confidence);
-        assert_eq!(pick_rung(200, &est, false), Rung::Full);
+        assert_eq!(pick_rung(199, &est, 0), ServedVia::ConfidenceOnly);
+        assert_eq!(pick_rung(200, &est, 0), ServedVia::FullJoint);
     }
 
     #[test]
@@ -1197,11 +1076,6 @@ mod tests {
     #[test]
     fn deadline_sweep_is_monotone_under_fixed_estimates() {
         fn fulls_served(deadline_us: u64) -> usize {
-            let est = RungEstimates {
-                full_us: 100,
-                reduced_us: 20,
-                batch_item_us: 40,
-            };
             // True service costs sit slightly above the estimates, as
             // they do live (the estimate is a min over warmup reps).
             let (full_cost, reduced_cost, conf_cost) = (110u64, 25u64, 6u64);
@@ -1213,13 +1087,13 @@ mod tests {
                     t += 1;
                     continue;
                 }
-                match pick_rung(deadline_us - t, &est, true) {
-                    Rung::Full => {
+                match pick_rung(deadline_us - t, &EST, 1) {
+                    ServedVia::FullJoint => {
                         fulls += 1;
                         t += full_cost;
                     }
-                    Rung::Reduced => t += reduced_cost,
-                    Rung::Confidence => t += conf_cost,
+                    ServedVia::ReducedTaps { .. } => t += reduced_cost,
+                    _ => t += conf_cost,
                 }
             }
             fulls
@@ -1241,5 +1115,129 @@ mod tests {
             fulls.last().copied().unwrap_or(0) == 100,
             "a generous deadline must serve the whole burst full: {fulls:?}"
         );
+    }
+
+    /// At width 1 pass formation is the ladder: across a budget sweep,
+    /// with and without the reduced rung, a lone request's pass gets
+    /// `pick_rung`'s rung — and the breaker overrides it.
+    #[test]
+    fn a_lone_request_gets_exactly_the_ladder_rung() {
+        for reduced in [0, 1] {
+            for remaining_us in 0..=450 {
+                let passes = form_passes(&[cand(remaining_us)], reduced, 8);
+                assert_eq!(passes.len(), 1);
+                assert_eq!(
+                    passes[0].0,
+                    pick_rung(remaining_us, &EST, reduced),
+                    "budget {remaining_us}µs, reduced {reduced}"
+                );
+            }
+        }
+        let degraded = Candidate {
+            drift_degraded: true,
+            ..cand(10_000)
+        };
+        assert_eq!(
+            form_passes(&[degraded], 1, 8)[0].0,
+            ServedVia::DriftDegraded
+        );
+    }
+
+    /// Over many seeded bursts of mixed budgets, breaker states and
+    /// spikes: every member of a pass would get the pass's rung alone,
+    /// no pass outgrows `max_width`, and no member's budget is below
+    /// `RUNG_MARGIN × est × width`. The only exception is the ladder's
+    /// floor — a lone confidence-rung request is served whatever its
+    /// budget, as it always was.
+    #[test]
+    fn no_pass_outgrows_any_member_budget() {
+        let mut widest = 0;
+        for burst_seed in 0..400u64 {
+            let draw = |k: u64| dv_runtime::split_seed(burst_seed, k);
+            let n = 1 + (draw(0) % 8) as usize;
+            let burst: Vec<Candidate> = (0..n as u64)
+                .map(|i| Candidate {
+                    remaining_us: draw(3 * i + 1) % 2_500,
+                    drift_degraded: draw(3 * i + 2) % 5 == 0,
+                    spiking: draw(3 * i + 3) % 11 == 0,
+                })
+                .collect();
+            let max_width = 1 + (draw(99) % 8) as usize;
+            let passes = form_passes(&burst, 1, max_width);
+            assert_eq!(
+                passes.iter().map(|(_, m)| m.len()).sum::<usize>(),
+                n,
+                "every request is in exactly one pass"
+            );
+            for (via, members) in &passes {
+                let width = members.len() as u64;
+                widest = widest.max(members.len());
+                assert!(members.len() <= max_width);
+                let floor = width == 1
+                    && matches!(via, ServedVia::ConfidenceOnly | ServedVia::DriftDegraded);
+                let mut est = EST;
+                let cost = RUNG_MARGIN * *est.of(*via) * width;
+                for m in members {
+                    let alone = if m.drift_degraded {
+                        ServedVia::DriftDegraded
+                    } else {
+                        pick_rung(m.remaining_us, &EST, 1)
+                    };
+                    assert_eq!(alone, *via, "burst {burst_seed}: {members:?}");
+                    assert!(
+                        floor || m.remaining_us >= cost,
+                        "burst {burst_seed}: budget {}µs under {cost}µs in a {via:?} pass \
+                         of {width}",
+                        m.remaining_us
+                    );
+                }
+            }
+        }
+        assert!(widest >= 4, "the bursts must actually coalesce: {widest}");
+    }
+
+    /// Degraded requests coalesce like full ones: a burst that the
+    /// breaker serves degraded, or that the ladder serves
+    /// confidence-only, is one pass rather than N singles.
+    #[test]
+    fn degraded_bursts_form_one_pass() {
+        let breaker_open: Vec<Candidate> = (0..8)
+            .map(|i| Candidate {
+                drift_degraded: true,
+                ..cand(60 + i)
+            })
+            .collect();
+        let passes = form_passes(&breaker_open, 1, 8);
+        assert_eq!(passes.len(), 1, "{passes:?}");
+        assert_eq!(passes[0].0, ServedVia::DriftDegraded);
+        assert_eq!(passes[0].1.len(), 8);
+
+        // Under the reduced rung's 2 × 20µs floor, above 2 × 2µs × 8.
+        let squeezed: Vec<Candidate> = (0..8).map(|i| cand(39 - i)).collect();
+        let passes = form_passes(&squeezed, 1, 8);
+        assert_eq!(passes.len(), 1, "{passes:?}");
+        assert_eq!(passes[0].0, ServedVia::ConfidenceOnly);
+        assert_eq!(passes[0].1.len(), 8);
+    }
+
+    /// A spiking request never shares a pass, whether it would open
+    /// one or join one.
+    #[test]
+    fn a_spiking_request_is_always_alone() {
+        for at in 0..6 {
+            let burst: Vec<Candidate> = (0..6)
+                .map(|i| Candidate {
+                    spiking: i == at,
+                    ..cand(100_000)
+                })
+                .collect();
+            let passes = form_passes(&burst, 1, 8);
+            for (_, members) in &passes {
+                if members.iter().any(|m| m.spiking) {
+                    assert_eq!(members.len(), 1, "spike at {at}: {passes:?}");
+                }
+            }
+            assert_eq!(passes.len(), 2, "spike at {at}: {passes:?}");
+        }
     }
 }

@@ -84,6 +84,20 @@ fn trained_setup() -> (Arc<DeepValidator>, Arc<InferencePlan>, Vec<Tensor>) {
     (Arc::new(validator), Arc::new(plan), images)
 }
 
+/// Direct confidence-only scoring (masked, no taps): the bits a
+/// `ConfidenceOnly` or `DriftDegraded` response must carry.
+fn direct_confidence(
+    validator: &DeepValidator,
+    plan: &InferencePlan,
+    img: &Tensor,
+) -> (usize, f32) {
+    let mut sw = ScoreWorkspace::new();
+    let mut per_layer = Vec::new();
+    validator
+        .score_masked_into(plan, img, &[], &mut sw, &mut per_layer)
+        .expect("fixture images are well-formed")
+}
+
 /// Reference scoring through the direct (non-served) path.
 fn direct(
     validator: &DeepValidator,
@@ -330,8 +344,9 @@ fn metrics_match_pre_refactor_values_on_fixed_schedule() {
 /// stream (KS exactly 0, CUSUM at its floor — no false alarm possible),
 /// a brightness-shifted image trips the monitor and opens the breaker
 /// (responses flip to `DriftDegraded`, probes stay full), and returning
-/// to the clean image closes it again. Accounting stays exact through
-/// both transitions.
+/// to the clean image closes it again. Degraded responses — which may
+/// now share a pass — carry exactly the bits of direct confidence-only
+/// scoring. Accounting stays exact through both transitions.
 #[test]
 fn drift_breaker_opens_on_shift_and_closes_on_recovery() {
     quiet_injected_panics();
@@ -351,10 +366,22 @@ fn drift_breaker_opens_on_shift_and_closes_on_recovery() {
     };
     let probe_every = breaker.probe_every;
     cfg.breaker = Some(breaker);
-    let server = Server::start(validator, plan, cfg);
+    let server = Server::start(Arc::clone(&validator), Arc::clone(&plan), cfg);
 
     let clean = images[0].clone();
     let shifted = clean.map(|x| x + 0.6);
+    let (degraded_p, degraded_c) = direct_confidence(&validator, &plan, &shifted);
+    let assert_degraded_bits = |resp: &dv_serve::ScoreResponse| {
+        assert!(resp.joint.is_none(), "degraded rung reports no joint");
+        assert!(resp.per_layer.is_empty(), "degraded rung scores no layer");
+        assert_eq!(resp.predicted, degraded_p, "request {}", resp.seq);
+        assert_eq!(
+            resp.confidence.to_bits(),
+            degraded_c.to_bits(),
+            "request {}",
+            resp.seq
+        );
+    };
 
     // Phase 1 — stationary: enough serialized requests to calibrate the
     // monitor and run several evaluations. Every one must serve full.
@@ -380,13 +407,44 @@ fn drift_breaker_opens_on_shift_and_closes_on_recovery() {
             .wait()
             .expect("shifted requests still serve");
         if resp.via == ServedVia::DriftDegraded {
-            assert!(resp.joint.is_none(), "degraded rung reports no joint");
+            assert_degraded_bits(&resp);
             opened = true;
             break;
         }
     }
     assert!(opened, "the shifted stream must open the breaker");
     assert!(server.metrics().breaker_opened >= 1);
+
+    // A burst while the breaker is open: non-probes serve degraded and
+    // may coalesce into shared passes; every one keeps the direct
+    // confidence-only bits, and the probes keep the direct full bits.
+    let burst: Vec<_> = (0..16)
+        .map(|_| {
+            server
+                .try_submit(shifted.clone())
+                .expect("the burst fits the queue")
+        })
+        .collect();
+    let (full_p, full_c, full_layers, full_joint) = direct(&validator, &plan, &shifted);
+    for pending in burst {
+        let resp = pending.wait().expect("shifted requests still serve");
+        match resp.via {
+            ServedVia::DriftDegraded => assert_degraded_bits(&resp),
+            ServedVia::FullJoint => {
+                assert_eq!(resp.predicted, full_p, "request {}", resp.seq);
+                assert_eq!(resp.confidence.to_bits(), full_c.to_bits());
+                assert_eq!(resp.per_layer.len(), full_layers.len());
+                for (a, b) in resp.per_layer.iter().zip(&full_layers) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "request {}", resp.seq);
+                }
+                assert_eq!(resp.joint.map(f32::to_bits), Some(full_joint.to_bits()));
+            }
+            other => panic!(
+                "request {} served {other:?} under an open breaker",
+                resp.seq
+            ),
+        }
+    }
 
     // Phase 3 — recovery: clean traffic again. Probes (every 4th seq)
     // keep feeding the monitor; once the alert clears, a non-probe

@@ -9,7 +9,9 @@
 //! sequence (a total order even when clock stamps tie across lanes), and
 //! [`segments`] decomposes a served request's wall time into the
 //! queue-wait / coalesce-wait / score / respond partition that
-//! `latency_audit` asserts sums to the end-to-end latency within 1%.
+//! `latency_audit` asserts sums to the server-reported end-to-end
+//! latency exactly (dv-serve stamps the enqueue and respond events with
+//! the readings its latency is computed from).
 //!
 //! The event vocabulary is fixed here (the [`lifecycle`] constants) so
 //! the emitter (dv-serve), the exporters, and consumers agree on names
@@ -28,10 +30,8 @@ pub mod lifecycle {
     pub const ENQUEUED: &str = "serve.enqueued";
     /// Request popped off the bounded queue by a worker.
     pub const DEQUEUED: &str = "serve.dequeued";
-    /// Request admitted to a coalesced batch; `arg` = batch width.
+    /// Request admitted to a pass of two or more; `arg` = pass width.
     pub const BATCH_JOINED: &str = "serve.batch_joined";
-    /// Request parked in the crash-retry pen to be served singly.
-    pub const PARKED: &str = "serve.parked";
     /// Parked request re-served by a respawned incarnation after a crash.
     pub const RETRIED: &str = "serve.retried";
     /// Scoring started; `arg` = the `ServedVia` code.

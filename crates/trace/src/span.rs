@@ -198,26 +198,36 @@ pub fn record_raw(name: &'static str, start_ns: u64, end_ns: u64) {
     }
 }
 
-/// Records an instant lifecycle event for request `trace` on the
-/// *calling* thread's lane, causally chained to `parent` (the
-/// [`EventRef`] returned by the request's previous event, or
+/// Records an instant lifecycle event for request `trace`, stamped
+/// `at_ns` (a [`now_ns`](crate::now_ns) reading the caller already
+/// holds), on the *calling* thread's lane, causally chained to `parent`
+/// (the [`EventRef`] returned by the request's previous event, or
 /// [`EventRef::NONE`] at the chain root). `arg` carries a small event
 /// payload — batch width for `batch_joined`, the `ServedVia` code for
 /// `score_begin` — and the returned ref becomes the next event's parent.
 ///
+/// Taking the stamp instead of reading the clock lets a caller put the
+/// very reading its own latency arithmetic uses on the timeline, so the
+/// two agree to the nanosecond.
+///
 /// Allocation-free (the ring and intern table are pre-sized), honors
 /// [`sample_scope`] like spans do (a sampled-out event returns
 /// [`EventRef::NONE`]), and compiles to a no-op returning NONE — no
-/// clock read, no atomics — when the `trace` feature is off.
+/// atomics — when the `trace` feature is off.
 #[inline]
-pub fn record_event(name: &'static str, trace: TraceId, parent: EventRef, arg: u64) -> EventRef {
+pub fn record_event(
+    name: &'static str,
+    at_ns: u64,
+    trace: TraceId,
+    parent: EventRef,
+    arg: u64,
+) -> EventRef {
     #[cfg(feature = "trace")]
     {
-        let now = crate::time::now_ns();
         EventRef(imp::record(
             name,
-            now,
-            now,
+            at_ns,
+            at_ns,
             imp::current_depth(),
             trace.0,
             parent.0,
@@ -227,7 +237,7 @@ pub fn record_event(name: &'static str, trace: TraceId, parent: EventRef, arg: u
     }
     #[cfg(not(feature = "trace"))]
     {
-        let _ = (name, trace, parent, arg);
+        let _ = (name, at_ns, trace, parent, arg);
         EventRef::NONE
     }
 }
@@ -673,9 +683,9 @@ mod off_tests {
     /// causal chains stay inert.
     #[test]
     fn record_event_is_a_none_returning_noop() {
-        let parent = record_event("off.enqueued", TraceId::from_seq(7), EventRef::NONE, 3);
+        let parent = record_event("off.enqueued", 10, TraceId::from_seq(7), EventRef::NONE, 3);
         assert_eq!(parent, EventRef::NONE);
-        let child = record_event("off.dequeued", TraceId::from_seq(7), parent, 0);
+        let child = record_event("off.dequeued", 20, TraceId::from_seq(7), parent, 0);
         assert_eq!(child, EventRef::NONE);
         assert!(snapshot().lanes.is_empty());
         assert_eq!(snapshot().dropped, 0);
@@ -836,9 +846,9 @@ mod on_tests {
         let _g = locked();
         reset();
         let trace = TraceId::from_seq(41);
-        let root = record_event("t.ev_enqueued", trace, EventRef::NONE, 0);
+        let root = record_event("t.ev_enqueued", 100, trace, EventRef::NONE, 0);
         assert_ne!(root, EventRef::NONE);
-        let next = record_event("t.ev_dequeued", trace, root, 4);
+        let next = record_event("t.ev_dequeued", 250, trace, root, 4);
         assert_ne!(next, EventRef::NONE);
         let events: Vec<_> = snapshot()
             .lanes
@@ -862,12 +872,17 @@ mod on_tests {
         assert_eq!(deq.parent, enq.event_ref(), "child points at the root");
         assert_eq!(deq.arg, 4);
         assert_eq!(enq.dur_ns, 0, "instant events have no duration");
+        assert_eq!(
+            (enq.start_ns, deq.start_ns),
+            (100, 250),
+            "events carry the caller's stamps"
+        );
 
         // Sampled out: nothing recorded, NONE returned, chain stays inert.
         reset();
         {
             let _out = sample_scope(false);
-            let e = record_event("t.ev_suppressed", trace, EventRef::NONE, 0);
+            let e = record_event("t.ev_suppressed", 300, trace, EventRef::NONE, 0);
             assert_eq!(e, EventRef::NONE);
         }
         assert!(my_lane_spans("t.ev_suppressed").is_empty());

@@ -1,10 +1,10 @@
 //! The one place the workspace reads a wall clock.
 //!
 //! dv-lint R8 (`raw-timing`) bans `std::time::Instant`/`SystemTime`
-//! everywhere outside this crate and `crates/serve` (which owns deadline
-//! arithmetic), so every reported duration — span, histogram sample, or
-//! bench number — flows through the same monotonic source and cannot
-//! drift apart from the exported metrics.
+//! everywhere outside this crate, so every reported duration — span,
+//! histogram sample, serving deadline, or bench number — flows through
+//! the same monotonic source and cannot drift apart from the exported
+//! metrics.
 
 use std::sync::OnceLock;
 use std::time::Instant;
