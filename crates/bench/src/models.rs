@@ -10,6 +10,7 @@
 use dv_datasets::DatasetSpec;
 use dv_nn::layers::{Conv2d, Dense, Flatten, MaxPool2, Relu};
 use dv_nn::Network;
+use dv_tensor::conv::Conv2dGeom;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -39,6 +40,29 @@ pub fn validated_layers(spec: DatasetSpec) -> usize {
         DatasetSpec::SynthDigits | DatasetSpec::SynthStreetDigits => 6,
         DatasetSpec::SynthObjects => 6, // last six of ten probes
     }
+}
+
+/// Every convolution of a dataset's model, in execution order: its
+/// geometry and output channel count, read from the compiled plan.
+pub fn conv_layers(spec: DatasetSpec) -> Vec<(Conv2dGeom, usize)> {
+    let plan = model_for(spec, 0).plan();
+    plan.layer_specs()
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, layer)| {
+            let conv = layer.into_conv()?;
+            let dims = plan.op_in_dims(i);
+            let geom = Conv2dGeom {
+                in_channels: conv.in_channels,
+                in_h: dims[1],
+                in_w: dims[2],
+                kernel: conv.kernel,
+                stride: 1,
+                pad: conv.pad,
+            };
+            Some((geom, conv.out_channels))
+        })
+        .collect()
 }
 
 /// MNIST stand-in model: a seven-layer CNN in the style of the paper's
@@ -149,6 +173,25 @@ mod tests {
         for spec in DatasetSpec::all() {
             assert_eq!(validated_layers(spec), 6, "{spec}");
         }
+    }
+
+    #[test]
+    fn conv_layers_follow_the_architectures() {
+        let digits: Vec<_> = conv_layers(DatasetSpec::SynthDigits)
+            .iter()
+            .map(|(g, oc)| (g.in_channels, g.in_h, *oc, g.col_cols()))
+            .collect();
+        assert_eq!(
+            digits,
+            [
+                (1, 28, 8, 676),
+                (8, 26, 8, 576),
+                (8, 12, 16, 100),
+                (16, 10, 16, 64)
+            ]
+        );
+        assert_eq!(conv_layers(DatasetSpec::SynthObjects).len(), 8);
+        assert_eq!(conv_layers(DatasetSpec::SynthStreetDigits).len(), 4);
     }
 
     #[test]

@@ -144,8 +144,8 @@ impl Layer for Conv2d {
             let g_mat = grad_out
                 .index_outer(i)
                 .reshape(&[self.out_channels, spatial]);
-            // dL/dW += g * cols^T (patches re-gathered inside the GEMM
-            // pack); dL/db += row sums of g.
+            // dL/dW += g * cols^T (cols re-gathered from the cached
+            // input); dL/db += row sums of g.
             let mut gw = vec![0.0f32; self.out_channels * col_rows];
             gemm::conv2d_grad_weight_into(
                 g_mat.data(),

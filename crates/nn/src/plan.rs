@@ -8,9 +8,10 @@
 //! (`&InferencePlan`) across every worker thread. All run-time scratch
 //! (ping-pong activation buffers, probe taps, dense-block state slots)
 //! lives in a per-worker [`Workspace`], so a warmed-up worker scores
-//! images without touching the heap. Convolutions route through the
-//! fused-pack GEMM (`dv_tensor::gemm::conv2d_into`), so no im2col
-//! column matrix is ever materialized.
+//! images without touching the heap. Convolutions route through
+//! `dv_tensor::gemm::conv2d_into`, which gathers one patch row at a time
+//! into a per-thread buffer, so no im2col column matrix is ever
+//! materialized.
 //!
 //! Every op reuses the exact kernels and accumulation orders of the
 //! mutable training path (the one shared packed GEMM, the same
@@ -624,10 +625,10 @@ impl PlanOp for DenseOp {
     }
 }
 
-/// Convolution: per-image fused-pack GEMM (`gemm::conv2d_into`) + bias
-/// broadcast, mirroring the training forward image-by-image. The im2col
-/// column matrix is never materialized: the patch gather happens inside
-/// the GEMM's B-panel pack, so the op needs no workspace slot.
+/// Convolution: per-image `gemm::conv2d_into` + bias broadcast, mirroring
+/// the training forward image-by-image. The im2col column matrix is never
+/// materialized: the kernel gathers one patch row at a time into its own
+/// per-thread buffer, so the op needs no workspace slot.
 pub(crate) struct Conv2dOp {
     pub(crate) weight: Tensor,
     pub(crate) bias: Tensor,

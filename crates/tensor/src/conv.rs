@@ -83,12 +83,13 @@ pub fn im2col(image: &Tensor, geom: &Conv2dGeom) -> Tensor {
 }
 
 /// [`im2col`] into a caller-provided buffer: `data` is the flat `[C, H, W]`
-/// image, `out` receives the `[C*k*k, out_h*out_w]` column matrix. The
-/// buffer is zeroed first (padding taps must read as zero).
+/// image, `out` receives the `[C*k*k, out_h*out_w]` column matrix. Every
+/// element is written (padding taps as zero), so the buffer's previous
+/// contents do not matter.
 ///
-/// Same per-row fill loops and parallel split as [`im2col`], so the
-/// lowering is bit-identical; this is the allocation-free entry point the
-/// inference plan's convolutions use.
+/// Each row is one `gather_patch_row` call; large lowerings fan rows out
+/// across the pool. This is the allocation-free entry point the
+/// convolution weight gradient uses.
 ///
 /// # Panics
 ///
@@ -100,35 +101,13 @@ pub fn im2col_into(data: &[f32], geom: &Conv2dGeom, out: &mut [f32]) {
         geom.in_channels * geom.in_h * geom.in_w,
         "im2col_into image length mismatch"
     );
-    let (oh, ow) = (geom.out_h(), geom.out_w());
-    let k = geom.kernel;
-    let cols = oh * ow;
+    let cols = geom.col_cols();
     assert_eq!(
         out.len(),
         geom.col_rows() * cols,
         "im2col_into out length mismatch"
     );
-    out.fill(0.0);
-    let fill_row = |row: usize, dst: &mut [f32]| {
-        let (h, w) = (geom.in_h as isize, geom.in_w as isize);
-        let kx = row % k;
-        let ky = (row / k) % k;
-        let c = row / (k * k);
-        let chan = &data[c * geom.in_h * geom.in_w..(c + 1) * geom.in_h * geom.in_w];
-        for oy in 0..oh {
-            let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-            if iy < 0 || iy >= h {
-                continue;
-            }
-            for ox in 0..ow {
-                let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-                if ix < 0 || ix >= w {
-                    continue;
-                }
-                dst[oy * ow + ox] = chan[iy as usize * geom.in_w + ix as usize];
-            }
-        }
-    };
+    let fill_row = |row: usize, dst: &mut [f32]| gather_patch_row(data, geom, row, dst);
     // Each row (c, ky, kx) of the column matrix is an independent strided
     // copy into its own chunk, so large lowerings fan rows out across the
     // pool; small ones stay sequential to dodge fork/join overhead.
@@ -137,6 +116,46 @@ pub fn im2col_into(data: &[f32], geom: &Conv2dGeom, out: &mut [f32]) {
     } else {
         for (row, dst) in out.chunks_mut(cols).enumerate() {
             fill_row(row, dst);
+        }
+    }
+}
+
+/// Writes row `row` of the column matrix — kernel tap `(c, ky, kx)` at
+/// every output position — into `dst` (`out_h * out_w` long). Per output
+/// row the in-bounds run of the input row is copied in one pass (a slice
+/// copy at stride 1) and only the padding is zero-filled, so every
+/// element of `dst` is written. The one patch gather behind both
+/// [`im2col_into`] and the convolution forward in [`crate::gemm`].
+pub(crate) fn gather_patch_row(data: &[f32], geom: &Conv2dGeom, row: usize, dst: &mut [f32]) {
+    let (k, s, p) = (geom.kernel, geom.stride, geom.pad);
+    let (kx, ky, c) = (row % k, (row / k) % k, row / (k * k));
+    let chan_len = geom.in_h * geom.in_w;
+    let chan = &data[c * chan_len..(c + 1) * chan_len];
+    let ow = geom.out_w();
+    debug_assert_eq!(dst.len(), geom.out_h() * ow, "patch row length mismatch");
+    // Output columns `lo..hi` read input column `ox * s + kx - p`, which
+    // lies in `0..in_w` exactly there; the same run holds for every row.
+    let lo = p.saturating_sub(kx).div_ceil(s).min(ow);
+    let hi = (geom.in_w + p).saturating_sub(kx).div_ceil(s).clamp(lo, ow);
+    for (oy, out_row) in dst.chunks_exact_mut(ow).enumerate() {
+        let src_row = match (oy * s + ky).checked_sub(p) {
+            Some(iy) if iy < geom.in_h && lo < hi => {
+                &chan[iy * geom.in_w + lo * s + kx - p..(iy + 1) * geom.in_w]
+            }
+            _ => {
+                out_row.fill(0.0);
+                continue;
+            }
+        };
+        out_row[..lo].fill(0.0);
+        out_row[hi..].fill(0.0);
+        let run = &mut out_row[lo..hi];
+        if s == 1 {
+            run.copy_from_slice(&src_row[..run.len()]);
+        } else {
+            for (d, &v) in run.iter_mut().zip(src_row.iter().step_by(s)) {
+                *d = v;
+            }
         }
     }
 }

@@ -1,12 +1,15 @@
-//! The one packed, register-tiled GEMM microkernel behind every product.
+//! The one packed, register-tiled GEMM microkernel behind every matrix
+//! product, and the direct convolution forward beside it.
 //!
-//! Every dense matrix product in the workspace — `matmul`, the
-//! transposed variants, and the fused-im2col convolution forward — is a
-//! thin layout adapter over [`gemm`]: operands are described by
-//! [`PackA`]/[`PackB`] pack sources, packed into cache-blocked panels
-//! (`MC×KC` for A, `KC×NC` for B), and driven through a single `MR×NR`
-//! register-tile microkernel. Convolution never materializes its column
-//! matrix: the patch gather of `im2col` happens inside the B-panel pack.
+//! Every dense matrix product in the workspace — `matmul` and the
+//! transposed variants — is a thin layout adapter over [`gemm`]:
+//! operands are described by [`PackA`]/[`PackB`] pack sources, packed
+//! into cache-blocked panels (`MC×KC` for A, `KC×NC` for B), and driven
+//! through a single `MR×NR` register-tile microkernel. The convolution
+//! forward ([`conv2d_into`]) never materializes its column matrix: it
+//! gathers one patch row at a time into a reused buffer and applies it
+//! as a rank-1 update of the output, the same per-element chains as the
+//! explicit product.
 //!
 //! # Bit-identity contract
 //!
@@ -39,7 +42,7 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-use crate::conv::Conv2dGeom;
+use crate::conv::{gather_patch_row, im2col_into, Conv2dGeom};
 
 /// Microkernel register-tile rows (lhs rows per tile).
 pub const MR: usize = 8;
@@ -73,7 +76,7 @@ pub enum PackA<'a> {
     Trans(&'a [f32]),
 }
 
-/// How the rhs operand `B: [k, n]` is produced during packing.
+/// How the rhs operand `B: [k, n]` is stored.
 #[derive(Debug, Clone, Copy)]
 pub enum PackB<'a> {
     /// Row-major `[k, n]` slice: `b(p, j) = d[p * n + j]`.
@@ -81,24 +84,6 @@ pub enum PackB<'a> {
     /// Transposed storage `[n, k]`: `b(p, j) = d[j * k + p]` (the
     /// `matmul_nt` rhs, read without materializing the transpose).
     Trans(&'a [f32]),
-    /// Fused im2col: `B` is the `[C*k*k, out_h*out_w]` column matrix of
-    /// `image` under `geom`, gathered patch-by-patch into the panel so
-    /// the column matrix never exists in memory.
-    Patches {
-        /// Flat `[C, H, W]` image.
-        image: &'a [f32],
-        /// Convolution geometry describing the patch gather.
-        geom: Conv2dGeom,
-    },
-    /// Transposed fused im2col: `B = cols^T`, i.e. `b(p, j) =
-    /// cols(j, p)` — the `matmul_nt` rhs of the convolution
-    /// weight-gradient product, again without materializing `cols`.
-    PatchesT {
-        /// Flat `[C, H, W]` image.
-        image: &'a [f32],
-        /// Convolution geometry describing the patch gather.
-        geom: Conv2dGeom,
-    },
 }
 
 /// When true, [`gemm`] uses the scalar microkernel even if the `simd`
@@ -140,6 +125,9 @@ thread_local! {
     static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// Per-thread packed B panel (`KC × NC` floats).
     static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread convolution patches: one gathered row for the forward,
+    /// the whole column matrix for the weight gradient.
+    static PATCHES: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// `C = A · B` (`[m, k] × [k, n] → [m, n]`) through the packed microkernel.
@@ -169,7 +157,7 @@ pub fn gemm(
         return;
     }
     let simd = simd_kernels_active();
-    if m * k * n < SMALL_FLOPS && small_gemm(&a, &b, m, k, n, skip_zero_lhs, simd, out) {
+    if m * k * n < SMALL_FLOPS && small_gemm(&a, &b, k, n, skip_zero_lhs, simd, out) {
         let c = counters();
         c.calls.inc();
         c.small.inc();
@@ -180,20 +168,16 @@ pub fn gemm(
         let nc = NC.min(n - jc);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            PACK_B.with(|cell| {
-                let mut bbuf = cell.borrow_mut();
-                if bbuf.len() < KC * NC {
-                    bbuf.resize(KC * NC, 0.0);
-                }
-                pack_b(&b, k, n, pc, kc, jc, nc, &mut bbuf);
-                let packed_b: &[f32] = &bbuf;
+            with_buf(&PACK_B, KC * NC, |bbuf| {
+                pack_b(&b, k, n, pc, kc, jc, nc, bbuf);
+                let packed_b: &[f32] = bbuf;
                 if use_par {
                     // One task per MC-row chunk: chunks own disjoint row
                     // slices of `out` and write only columns jc..jc+nc.
                     dv_runtime::par_chunks_mut(out, MC * n, |ci, rows| {
                         let i0 = ci * MC;
                         let mc = MC.min(m - i0);
-                        with_pack_a(|abuf| {
+                        with_buf(&PACK_A, MC * KC, |abuf| {
                             pack_a(&a, m, k, i0, mc, pc, kc, abuf);
                             compute_panel(
                                 abuf,
@@ -212,7 +196,7 @@ pub fn gemm(
                 } else {
                     for i0 in (0..m).step_by(MC) {
                         let mc = MC.min(m - i0);
-                        with_pack_a(|abuf| {
+                        with_buf(&PACK_A, MC * KC, |abuf| {
                             pack_a(&a, m, k, i0, mc, pc, kc, abuf);
                             compute_panel(
                                 abuf,
@@ -235,11 +219,15 @@ pub fn gemm(
     record_counters(m, k, n);
 }
 
-/// Fused-im2col convolution forward: `out = W · im2col(image)` for
+/// Convolution forward: `out = W · im2col(image)` for
 /// `W: [out_channels, C*k*k]`, without materializing the column matrix.
 ///
-/// Bit-identical to explicit `im2col_into` + `matmul_into` (same skip
-/// semantics on the weight operand, same accumulation chains); the bias
+/// Whatever the size, each column-matrix row is gathered into a reused
+/// per-thread buffer and applied as a rank-1 update of every output row,
+/// so each output element adds its `k` terms in ascending order with the
+/// weight-side zero skip: bit-identical to explicit `im2col_into` +
+/// `matmul_into`, with no panel staging and no allocation in steady
+/// state. Counted as one small-path call in `tensor.gemm.*`. The bias
 /// broadcast stays with the caller, as it always has.
 ///
 /// # Panics
@@ -253,23 +241,42 @@ pub fn conv2d_into(
     out: &mut [f32],
 ) {
     dv_trace::span!("tensor.conv_gemm");
-    gemm(
-        PackA::Rows(weight),
-        PackB::Patches { image, geom: *geom },
-        out_channels,
-        geom.col_rows(),
-        geom.col_cols(),
-        true,
-        out,
+    let (k, n) = (geom.col_rows(), geom.col_cols());
+    assert_eq!(
+        image.len(),
+        geom.in_channels * geom.in_h * geom.in_w,
+        "conv2d_into image length mismatch"
     );
+    assert_eq!(
+        weight.len(),
+        out_channels * k,
+        "conv2d_into weight length mismatch"
+    );
+    assert_eq!(
+        out.len(),
+        out_channels * n,
+        "conv2d_into out length mismatch"
+    );
+    out.fill(0.0);
+    if out_channels == 0 || k == 0 {
+        return;
+    }
+    let simd = simd_kernels_active();
+    with_buf(&PATCHES, n, |row| {
+        for kk in 0..k {
+            gather_patch_row(image, geom, kk, row);
+            col_update(simd, weight, k, kk, row, true, out, n);
+        }
+    });
+    let c = counters();
+    c.calls.inc();
+    c.small.inc();
 }
 
-/// Fused convolution weight gradient: `out = G · im2col(image)^T` for
-/// `G: [out_channels, out_h*out_w]`, the training-path replacement for
-/// `matmul_nt(g, cols)` that never materializes `cols`.
-///
-/// `matmul_nt` semantics: no structural-sparsity skip, bit-identical to
-/// the explicit product.
+/// Convolution weight gradient: `out = G · im2col(image)^T` for
+/// `G: [out_channels, out_h*out_w]`. The column matrix is gathered into a
+/// reused per-thread buffer and multiplied as a `matmul_nt` rhs: no
+/// structural-sparsity skip, bit-identical to `matmul_nt(g, cols)`.
 ///
 /// # Panics
 ///
@@ -282,15 +289,19 @@ pub fn conv2d_grad_weight_into(
     out: &mut [f32],
 ) {
     dv_trace::span!("tensor.conv_gemm");
-    gemm(
-        PackA::Rows(g),
-        PackB::PatchesT { image, geom: *geom },
-        out_channels,
-        geom.col_cols(),
-        geom.col_rows(),
-        false,
-        out,
-    );
+    let (k, n) = (geom.col_rows(), geom.col_cols());
+    with_buf(&PATCHES, k * n, |cols| {
+        im2col_into(image, geom, cols);
+        gemm(
+            PackA::Rows(g),
+            PackB::Trans(cols),
+            out_channels,
+            n,
+            k,
+            false,
+            out,
+        );
+    });
 }
 
 /// Transposes a row-major `[m, n]` slice into a `[n, m]` buffer.
@@ -373,11 +384,9 @@ where
 /// are identical — packing is pure staging. Returns `false` for pack
 /// sources without a direct form (`PackA::Trans`, used only by
 /// training-path products), which fall through to the packed kernel.
-#[allow(clippy::too_many_arguments)]
 fn small_gemm(
     a: &PackA<'_>,
     b: &PackB<'_>,
-    m: usize,
     k: usize,
     n: usize,
     skip: bool,
@@ -387,42 +396,21 @@ fn small_gemm(
     let PackA::Rows(ad) = *a else {
         return false;
     };
-    let _ = m;
     match *b {
         PackB::Rows(bd) => small_rows(simd, ad, bd, k, n, skip, out),
         PackB::Trans(bd) => {
             for (arow, orow) in ad.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-                for (slot, bcol) in orow.iter_mut().zip(bd.chunks_exact(k)) {
+                let mut slots = orow.chunks_exact_mut(NR);
+                let mut bcols = bd.chunks_exact(NR * k);
+                for (block, cols) in (&mut slots).zip(&mut bcols) {
+                    dot_block(arow, cols, skip, block);
+                }
+                let rest = bcols.remainder().chunks_exact(k);
+                for (slot, bcol) in slots.into_remainder().iter_mut().zip(rest) {
                     *slot = dot_skip(arow, bcol, skip);
                 }
             }
         }
-        PackB::Patches { image, geom } => PACK_B.with(|cell| {
-            let mut buf = cell.borrow_mut();
-            if buf.len() < n {
-                buf.resize(n, 0.0);
-            }
-            let brow = &mut buf[..n];
-            for kk in 0..k {
-                gather_patch_row(image, &geom, kk, brow);
-                col_update(simd, ad, k, kk, brow, skip, out, n);
-            }
-        }),
-        PackB::PatchesT { image, geom } => PACK_B.with(|cell| {
-            let mut buf = cell.borrow_mut();
-            if buf.len() < k {
-                buf.resize(k, 0.0);
-            }
-            let bcol = &mut buf[..k];
-            for j in 0..n {
-                // Column `j` of `B = cols^T` is row `j` of the column
-                // matrix, so the forward gather serves both layouts.
-                gather_patch_row(image, &geom, j, bcol);
-                for (arow, orow) in ad.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-                    orow[j] = dot_skip(arow, bcol, skip);
-                }
-            }
-        }),
     }
     true
 }
@@ -462,8 +450,8 @@ fn small_rows(simd: bool, ad: &[f32], bd: &[f32], k: usize, n: usize, skip: bool
     }
 }
 
-/// One fused-conv small-path step: rank-1 update of every output row with
-/// column `kk` of the weights and one gathered row of the column matrix.
+/// One convolution step: rank-1 update of every output row with column
+/// `kk` of the weights and one gathered row of the column matrix.
 /// Dispatched to AVX once per `kk`, rows loop inside.
 #[cfg_attr(all(feature = "simd", target_arch = "x86_64"), allow(unsafe_code))]
 #[allow(clippy::too_many_arguments)]
@@ -521,34 +509,24 @@ fn dot_skip(a: &[f32], b: &[f32], skip: bool) -> f32 {
     acc
 }
 
-/// Gathers logical row `row` of the im2col column matrix (one kernel tap
-/// across all output positions) into a contiguous buffer; out-of-bounds
-/// taps write the zero padding.
-fn gather_patch_row(image: &[f32], geom: &Conv2dGeom, row: usize, dst: &mut [f32]) {
-    let ks = geom.kernel;
-    let (ih, iw) = (geom.in_h as isize, geom.in_w as isize);
-    let chan_len = geom.in_h * geom.in_w;
-    let ow = geom.out_w();
-    let kx = row % ks;
-    let ky = (row / ks) % ks;
-    let c = row / (ks * ks);
-    let chan = &image[c * chan_len..(c + 1) * chan_len];
-    let mut oy = 0usize;
-    let mut ox = 0usize;
-    for slot in dst.iter_mut() {
-        let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-        let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-        *slot = if iy >= 0 && iy < ih && ix >= 0 && ix < iw {
-            chan[iy as usize * geom.in_w + ix as usize]
-        } else {
-            0.0
-        };
-        ox += 1;
-        if ox == ow {
-            ox = 0;
-            oy += 1;
+/// `NR` side-by-side [`dot_skip`] chains: `out[j] = a · b_j` for the
+/// `NR` consecutive length-`k` rows `b_j` of `bcols`. Each output is still
+/// its own ascending-`k` sum from `+0.0` (same skip), so the bits equal
+/// `NR` separate calls; interleaving only hides the add latency.
+fn dot_block(a: &[f32], bcols: &[f32], skip: bool, out: &mut [f32]) {
+    let k = a.len();
+    let rows: [&[f32]; NR] = std::array::from_fn(|j| &bcols[j * k..(j + 1) * k]);
+    let mut acc = [0.0f32; NR];
+    for (p, &x) in a.iter().enumerate() {
+        // dv-lint: allow(float-eq, reason = "structural sparsity skip: exact stored zero contributes nothing to the accumulation")
+        if skip && x == 0.0 {
+            continue;
+        }
+        for (s, row) in acc.iter_mut().zip(&rows) {
+            *s += x * row[p];
         }
     }
+    out.copy_from_slice(&acc);
 }
 
 fn check_dims(a: &PackA<'_>, b: &PackB<'_>, m: usize, k: usize, n: usize) {
@@ -559,34 +537,22 @@ fn check_dims(a: &PackA<'_>, b: &PackB<'_>, m: usize, k: usize, n: usize) {
     match *b {
         PackB::Rows(d) => assert_eq!(d.len(), k * n, "gemm rhs length mismatch"),
         PackB::Trans(d) => assert_eq!(d.len(), n * k, "gemm rhs length mismatch"),
-        PackB::Patches { image, geom } => {
-            assert_eq!(
-                image.len(),
-                geom.in_channels * geom.in_h * geom.in_w,
-                "gemm conv image length mismatch"
-            );
-            assert_eq!(k, geom.col_rows(), "gemm conv k/col_rows mismatch");
-            assert_eq!(n, geom.col_cols(), "gemm conv n/col_cols mismatch");
-        }
-        PackB::PatchesT { image, geom } => {
-            assert_eq!(
-                image.len(),
-                geom.in_channels * geom.in_h * geom.in_w,
-                "gemm conv image length mismatch"
-            );
-            assert_eq!(k, geom.col_cols(), "gemm conv k/col_cols mismatch");
-            assert_eq!(n, geom.col_rows(), "gemm conv n/col_rows mismatch");
-        }
     }
 }
 
-fn with_pack_a<R>(f: impl FnOnce(&mut [f32]) -> R) -> R {
-    PACK_A.with(|cell| {
+/// Runs `f` on the first `len` floats of one of the per-thread arenas,
+/// growing it (high-water mark) on first use only.
+fn with_buf<R>(
+    arena: &'static std::thread::LocalKey<RefCell<Vec<f32>>>,
+    len: usize,
+    f: impl FnOnce(&mut [f32]) -> R,
+) -> R {
+    arena.with(|cell| {
         let mut buf = cell.borrow_mut();
-        if buf.len() < MC * KC {
-            buf.resize(MC * KC, 0.0);
+        if buf.len() < len {
+            buf.resize(len, 0.0);
         }
-        f(&mut buf)
+        f(&mut buf[..len])
     })
 }
 
@@ -670,94 +636,6 @@ fn pack_b(
                         g[kk * NR + jr] = v;
                     }
                 }
-            }
-        }
-        PackB::Patches { image, geom } => pack_b_patches(image, &geom, pc, kc, jc, nc, dst),
-        PackB::PatchesT { image, geom } => pack_b_patches_t(image, &geom, pc, kc, jc, nc, dst),
-    }
-}
-
-/// Patch-gather pack: logical row `pc + kk` of the column matrix is the
-/// kernel tap `(c, ky, kx)`, logical column `jc + ..` the output position
-/// `(oy, ox)`; out-of-bounds taps stay at the zero fill (zero padding).
-fn pack_b_patches(
-    image: &[f32],
-    geom: &Conv2dGeom,
-    pc: usize,
-    kc: usize,
-    jc: usize,
-    nc: usize,
-    dst: &mut [f32],
-) {
-    let ks = geom.kernel;
-    let (ih, iw) = (geom.in_h as isize, geom.in_w as isize);
-    let chan_len = geom.in_h * geom.in_w;
-    let ow = geom.out_w();
-    for kk in 0..kc {
-        let row = pc + kk;
-        let kx = row % ks;
-        let ky = (row / ks) % ks;
-        let c = row / (ks * ks);
-        let chan = &image[c * chan_len..(c + 1) * chan_len];
-        let mut oy = jc / ow;
-        let mut ox = jc % ow;
-        let mut jg = 0usize;
-        let mut jr = 0usize;
-        for _ in 0..nc {
-            let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-            let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-            if iy >= 0 && iy < ih && ix >= 0 && ix < iw {
-                dst[jg * NR * kc + kk * NR + jr] = chan[iy as usize * geom.in_w + ix as usize];
-            }
-            ox += 1;
-            if ox == ow {
-                ox = 0;
-                oy += 1;
-            }
-            jr += 1;
-            if jr == NR {
-                jr = 0;
-                jg += 1;
-            }
-        }
-    }
-}
-
-/// Transposed patch-gather pack: logical row `pc + kk` is the output
-/// position `(oy, ox)`, logical column `jc + ..` the kernel tap — i.e.
-/// `b(p, j) = cols(j, p)` without ever building `cols`.
-fn pack_b_patches_t(
-    image: &[f32],
-    geom: &Conv2dGeom,
-    pc: usize,
-    kc: usize,
-    jc: usize,
-    nc: usize,
-    dst: &mut [f32],
-) {
-    let ks = geom.kernel;
-    let (ih, iw) = (geom.in_h as isize, geom.in_w as isize);
-    let chan_len = geom.in_h * geom.in_w;
-    let ow = geom.out_w();
-    for jidx in 0..nc {
-        let col_row = jc + jidx;
-        let kx = col_row % ks;
-        let ky = (col_row / ks) % ks;
-        let c = col_row / (ks * ks);
-        let chan = &image[c * chan_len..(c + 1) * chan_len];
-        let (jg, jr) = (jidx / NR, jidx % NR);
-        let mut oy = pc / ow;
-        let mut ox = pc % ow;
-        for kk in 0..kc {
-            let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-            let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-            if iy >= 0 && iy < ih && ix >= 0 && ix < iw {
-                dst[jg * NR * kc + kk * NR + jr] = chan[iy as usize * geom.in_w + ix as usize];
-            }
-            ox += 1;
-            if ox == ow {
-                ox = 0;
-                oy += 1;
             }
         }
     }
@@ -1014,7 +892,8 @@ mod tests {
             let mut cols = vec![0.0f32; geom.col_rows() * geom.col_cols()];
             im2col_into(&image, &geom, &mut cols);
 
-            // Forward: fused pack vs explicit cols, same skip semantics.
+            // Forward: direct nest vs `gemm` on explicit cols,
+            // same skip semantics.
             let mut want = vec![0.0f32; oc * geom.col_cols()];
             gemm(
                 PackA::Rows(&weight),
@@ -1029,7 +908,7 @@ mod tests {
             conv2d_into(&weight, oc, &image, &geom, &mut got);
             assert_eq!(bits(&got), bits(&want), "forward {c}x{h}x{w} k{ks}");
 
-            // Weight gradient: fused transposed pack vs explicit cols^T.
+            // Weight gradient vs the explicit `matmul_nt` on cols.
             let g = randv(&mut rng, oc * geom.col_cols());
             let mut want = vec![0.0f32; oc * geom.col_rows()];
             gemm(

@@ -143,9 +143,9 @@ pub(crate) unsafe fn small_rows_avx<const SKIP: bool>(
     }
 }
 
-/// Small-path fused-conv step (see `gemm::col_update`): rank-1 update of
-/// every output row with weight column `kk` and one gathered row of the
-/// column matrix, all rows inside one `target_feature` call.
+/// Convolution step (see `gemm::col_update`): rank-1 update of every
+/// output row with weight column `kk` and one gathered row of the column
+/// matrix, all rows inside one `target_feature` call.
 #[target_feature(enable = "avx")]
 // SAFETY: callers must have confirmed AVX support via `avx_available()`
 // before entering; all memory access is bounds-checked slice indexing or

@@ -6,13 +6,13 @@
 //! - [`Tensor`]: contiguous row-major storage with elementwise ops,
 //!   reductions and random initialization,
 //! - [`gemm`]: the packed, register-tiled GEMM microkernel (optionally
-//!   AVX-vectorized behind the `simd` feature) every product routes
-//!   through,
+//!   AVX-vectorized behind the `simd` feature) every matrix product
+//!   routes through, plus the direct convolution forward,
 //! - [`matmul`]: dense matrix multiplication (plus transposed variants
 //!   used by backpropagation) as thin adapters over [`gemm`],
-//! - [`conv`]: `im2col` / `col2im` lowering used by the convolution
-//!   layers' training adjoints; inference fuses the patch gather into
-//!   the GEMM pack instead,
+//! - [`conv`]: `im2col` / `col2im` lowering and the one patch-row
+//!   gather behind both `im2col` and the convolution kernels in
+//!   [`gemm`],
 //! - [`io`]: a tiny versioned binary format used to cache trained models
 //!   between experiment runs.
 //!

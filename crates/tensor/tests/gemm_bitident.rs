@@ -8,9 +8,9 @@
 //! reproduce their output `to_bits`-exactly — including the
 //! structural-zero skip semantics of each variant and the signed-zero /
 //! non-finite corner cases those make observable — on random shapes with
-//! zero-heavy, mixed-magnitude values. The fused-im2col conv forward and
-//! weight gradient are likewise pinned to explicit `im2col` + the
-//! matching historical product.
+//! zero-heavy, mixed-magnitude values. The convolution forward and weight
+//! gradient are likewise pinned to a verbatim per-element `im2col` + the
+//! matching historical product, and `im2col_into` to that same oracle.
 
 use dv_tensor::conv::{im2col_into, Conv2dGeom};
 use dv_tensor::gemm;
@@ -80,6 +80,35 @@ fn reference_matmul_nt_into(ad: &[f32], m: usize, k: usize, bd: &[f32], n: usize
             *c = acc;
         }
     }
+}
+
+/// Pre-refactor `im2col_into` row fill (a per-element bounds test on
+/// every tap of a zero-filled column matrix), kept verbatim as oracle.
+fn reference_im2col(data: &[f32], geom: &Conv2dGeom) -> Vec<f32> {
+    let (oh, ow) = (geom.out_h(), geom.out_w());
+    let k = geom.kernel;
+    let mut out = vec![0.0f32; geom.col_rows() * oh * ow];
+    for (row, dst) in out.chunks_mut(oh * ow).enumerate() {
+        let (h, w) = (geom.in_h as isize, geom.in_w as isize);
+        let kx = row % k;
+        let ky = (row / k) % k;
+        let c = row / (k * k);
+        let chan = &data[c * geom.in_h * geom.in_w..(c + 1) * geom.in_h * geom.in_w];
+        for oy in 0..oh {
+            let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
+            if iy < 0 || iy >= h {
+                continue;
+            }
+            for ox in 0..ow {
+                let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
+                if ix < 0 || ix >= w {
+                    continue;
+                }
+                dst[oy * ow + ox] = chan[iy as usize * geom.in_w + ix as usize];
+            }
+        }
+    }
+    out
 }
 
 /// Pre-refactor `matvec`, kept verbatim as oracle.
@@ -179,35 +208,48 @@ proptest! {
         prop_assert_eq!(bits(got.data()), bits(&want), "{}x{}", m, k);
     }
 
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Strides 1..=3 and pads 0..=2 against kernels 1..=5 on inputs down
+    /// to 1x1, so whole rows and columns of the column matrix can be
+    /// padding (pad >= kernel), and runs can start and end mid-row.
     #[test]
     fn fused_conv_forward_is_bit_identical_to_explicit_im2col(
-        (c, h, w, ks, pad, oc) in (1usize..=3, 3usize..=9, 3usize..=9, 1usize..=3, 0usize..=1, 1usize..=5),
+        (c, h, w) in (1usize..=3, 1usize..=9, 1usize..=9),
+        (ks, stride, pad, oc) in (1usize..=5, 1usize..=3, 0usize..=2, 1usize..=16),
         seed in 0u64..1_000_000,
     ) {
         prop_assume!(h + 2 * pad >= ks && w + 2 * pad >= ks);
-        let geom = Conv2dGeom { in_channels: c, in_h: h, in_w: w, kernel: ks, stride: 1, pad };
+        let geom = Conv2dGeom { in_channels: c, in_h: h, in_w: w, kernel: ks, stride, pad };
+        let tag = format!("{c}x{h}x{w} k{ks} s{stride} p{pad} oc{oc}");
         let mut rng = StdRng::seed_from_u64(seed);
         let image = randv(&mut rng, c * h * w);
         let weight = randv(&mut rng, oc * geom.col_rows());
+        let cols = reference_im2col(&image, &geom);
 
-        // Explicit lowering + historical matmul.
-        let mut cols = vec![0.0f32; geom.col_rows() * geom.col_cols()];
-        im2col_into(&image, &geom, &mut cols);
+        // The shared patch gather, through its explicit entry point; the
+        // buffer starts dirty because every element must be written.
+        let mut got = vec![f32::NAN; cols.len()];
+        im2col_into(&image, &geom, &mut got);
+        prop_assert_eq!(bits(&got), bits(&cols), "im2col {}", tag);
+
+        // Forward: direct rank-1 nest vs historical matmul on the cols.
         let mut want = vec![0.0f32; oc * geom.col_cols()];
         reference_matmul_into(&weight, oc, geom.col_rows(), &cols, geom.col_cols(), &mut want);
-
-        // Fused pack: no column matrix.
-        let mut got = vec![0.0f32; oc * geom.col_cols()];
+        let mut got = vec![f32::NAN; oc * geom.col_cols()];
         gemm::conv2d_into(&weight, oc, &image, &geom, &mut got);
-        prop_assert_eq!(bits(&got), bits(&want), "conv {}x{}x{} k{} p{}", c, h, w, ks, pad);
+        prop_assert_eq!(bits(&got), bits(&want), "conv {}", tag);
 
-        // Weight gradient: fused transposed pack vs reference nt on cols.
+        // Weight gradient vs historical nt on the cols.
         let g = randv(&mut rng, oc * geom.col_cols());
         let mut want = vec![0.0f32; oc * geom.col_rows()];
         reference_matmul_nt_into(&g, oc, geom.col_cols(), &cols, geom.col_rows(), &mut want);
-        let mut got = vec![0.0f32; oc * geom.col_rows()];
+        let mut got = vec![f32::NAN; oc * geom.col_rows()];
         gemm::conv2d_grad_weight_into(&g, oc, &image, &geom, &mut got);
-        prop_assert_eq!(bits(&got), bits(&want), "grad {}x{}x{} k{} p{}", c, h, w, ks, pad);
+        prop_assert_eq!(bits(&got), bits(&want), "grad {}", tag);
     }
 }
 
