@@ -1,12 +1,12 @@
 //! Fast gradient sign method (Goodfellow et al. 2014) and its iterative
 //! variant BIM (Kurakin et al. 2017).
 
-use dv_nn::{InferencePlan, Network};
-use dv_tensor::{Tensor, Workspace};
+use dv_nn::Network;
+use dv_tensor::Tensor;
 
 use crate::grad::loss_input_gradient;
 use crate::target::TargetMode;
-use crate::{finish, finish_with_plan, Attack, AttackResult};
+use crate::{finish, Attack, AttackResult};
 
 /// One-step FGSM: `x' = clip(x + eps * sign(grad_x L))` (untargeted), or
 /// a step *down* the loss toward the target class when targeted.
@@ -44,26 +44,6 @@ impl Attack for Fgsm {
             .zip(&grad, |x, g| x + sign * self.eps * g.signum())
             .clamp(0.0, 1.0);
         finish(net, adv, true_label)
-    }
-
-    fn run_with_plan(
-        &self,
-        net: &mut Network,
-        plan: &InferencePlan,
-        ws: &mut Workspace,
-        image: &Tensor,
-        true_label: usize,
-    ) -> AttackResult {
-        let target = self.mode.resolve_with_plan(plan, ws, image, true_label);
-        let (label, sign) = match target {
-            None => (true_label, 1.0f32),
-            Some(t) => (t, -1.0),
-        };
-        let grad = loss_input_gradient(net, image, label);
-        let adv = image
-            .zip(&grad, |x, g| x + sign * self.eps * g.signum())
-            .clamp(0.0, 1.0);
-        finish_with_plan(plan, ws, adv, true_label)
     }
 }
 
@@ -117,30 +97,6 @@ impl Attack for Bim {
                 .clamp(0.0, 1.0);
         }
         finish(net, adv, true_label)
-    }
-
-    fn run_with_plan(
-        &self,
-        net: &mut Network,
-        plan: &InferencePlan,
-        ws: &mut Workspace,
-        image: &Tensor,
-        true_label: usize,
-    ) -> AttackResult {
-        let target = self.mode.resolve_with_plan(plan, ws, image, true_label);
-        let (label, sign) = match target {
-            None => (true_label, 1.0f32),
-            Some(t) => (t, -1.0),
-        };
-        let mut adv = image.clone();
-        for _ in 0..self.iterations {
-            let grad = loss_input_gradient(net, &adv, label);
-            adv = adv.zip(&grad, |x, g| x + sign * self.step * g.signum());
-            adv = adv
-                .zip(image, |a, x| a.clamp(x - self.eps, x + self.eps))
-                .clamp(0.0, 1.0);
-        }
-        finish_with_plan(plan, ws, adv, true_label)
     }
 }
 
@@ -226,31 +182,6 @@ mod tests {
         let result = attack.run(&mut net, img, labels[0]);
         let after = crate::grad::logits_of(&mut net, &result.adversarial).data()[target];
         assert!(after > before, "target logit did not increase");
-    }
-
-    #[test]
-    fn plan_path_matches_mutable_path_bit_for_bit() {
-        let (mut net, images, labels) = trained_toy();
-        let plan = net.plan();
-        let mut ws = Workspace::new();
-        for mode in [
-            TargetMode::Untargeted,
-            TargetMode::Next,
-            TargetMode::LeastLikely,
-        ] {
-            let fgsm = Fgsm::new(0.2, mode);
-            let bim = Bim::new(0.1, 0.03, 5, mode);
-            for (img, &l) in images.iter().zip(&labels).take(5) {
-                for attack in [&fgsm as &dyn Attack, &bim] {
-                    let a = attack.run(&mut net, img, l);
-                    let b = attack.run_with_plan(&mut net, &plan, &mut ws, img, l);
-                    assert_eq!(a.adversarial.data(), b.adversarial.data());
-                    assert_eq!(a.success, b.success);
-                    assert_eq!(a.prediction, b.prediction);
-                    assert_eq!(a.confidence.to_bits(), b.confidence.to_bits());
-                }
-            }
-        }
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //!
 //! All attacks work through the [`Attack`] trait and only require
 //! gradient access to the network (which `dv-nn` provides by returning
-//! input gradients from `backward`). The CW variants follow the original
-//! formulation with a reduced iteration budget (DESIGN.md §4.5).
+//! input gradients from `backward`). Every attack step needs the layer
+//! caches of a forward pass, so attacks run on the training `Network`
+//! rather than on a compiled `InferencePlan`. The CW variants follow the
+//! original formulation with a reduced iteration budget (DESIGN.md §4.5).
 //!
 //! # Examples
 //!
@@ -39,8 +41,8 @@ pub use fgsm::{Bim, Fgsm};
 pub use jsma::Jsma;
 pub use target::TargetMode;
 
-use dv_nn::{InferencePlan, Network};
-use dv_tensor::{Tensor, Workspace};
+use dv_nn::Network;
+use dv_tensor::Tensor;
 
 /// The outcome of running an attack on one image.
 #[derive(Debug, Clone)]
@@ -64,45 +66,12 @@ pub trait Attack {
     /// Perturbs `image` (shape `[C, H, W]`, values in `[0, 1]`) so the
     /// model misclassifies it. `true_label` is the ground truth.
     fn run(&self, net: &mut Network, image: &Tensor, true_label: usize) -> AttackResult;
-
-    /// [`run`](Attack::run) with pure forward passes served by a compiled
-    /// plan. Gradients still run through `net` (attacks are white-box by
-    /// definition), so the default falls back to [`run`](Attack::run);
-    /// attacks whose forward passes dominate override it. `plan` must be
-    /// compiled from `net`. Both paths produce identical results.
-    fn run_with_plan(
-        &self,
-        net: &mut Network,
-        plan: &InferencePlan,
-        ws: &mut Workspace,
-        image: &Tensor,
-        true_label: usize,
-    ) -> AttackResult {
-        let _ = (plan, ws);
-        self.run(net, image, true_label)
-    }
 }
 
 /// Builds an [`AttackResult`] by classifying the candidate.
 pub(crate) fn finish(net: &mut Network, adversarial: Tensor, true_label: usize) -> AttackResult {
     let x = Tensor::stack(std::slice::from_ref(&adversarial));
     let (prediction, confidence) = net.classify(&x);
-    AttackResult {
-        adversarial,
-        success: prediction != true_label,
-        prediction,
-        confidence,
-    }
-}
-
-/// [`finish`] through a compiled plan — bit-identical classification.
-pub(crate) fn finish_with_plan(
-    plan: &InferencePlan,
-    ws: &mut Workspace,
-    adversarial: Tensor,
-    true_label: usize,
-) -> AttackResult {
-    let (prediction, confidence) = plan.classify(&adversarial, ws);
     AttackResult {
         adversarial,
         success: prediction != true_label,

@@ -1,8 +1,8 @@
 //! Attack target selection (the "Next"/"LL" columns of Table VIII).
 
-use dv_nn::{InferencePlan, Network};
+use dv_nn::Network;
 use dv_tensor::stats::softmax;
-use dv_tensor::{Tensor, Workspace};
+use dv_tensor::Tensor;
 
 /// How the attack chooses the class it pushes the input toward.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,30 +25,13 @@ impl TargetMode {
     pub fn resolve(&self, net: &mut Network, image: &Tensor, true_label: usize) -> Option<usize> {
         let x = Tensor::stack(std::slice::from_ref(image));
         let logits = net.forward(&x, false).row(0);
-        self.pick(&logits, true_label)
-    }
-
-    /// [`resolve`](TargetMode::resolve) through a compiled plan —
-    /// bit-identical target selection without touching the network.
-    pub fn resolve_with_plan(
-        &self,
-        plan: &InferencePlan,
-        ws: &mut Workspace,
-        image: &Tensor,
-        true_label: usize,
-    ) -> Option<usize> {
-        let logits = plan.forward(image, ws).row(0);
-        self.pick(&logits, true_label)
-    }
-
-    fn pick(&self, logits: &Tensor, true_label: usize) -> Option<usize> {
         let classes = logits.numel();
         assert!(true_label < classes, "label {true_label} out of range");
         match self {
             TargetMode::Untargeted => None,
             TargetMode::Next => Some((true_label + 1) % classes),
             TargetMode::LeastLikely => {
-                let probs = softmax(logits);
+                let probs = softmax(&logits);
                 let mut best = 0;
                 for (i, &p) in probs.data().iter().enumerate() {
                     if p < probs.data()[best] {

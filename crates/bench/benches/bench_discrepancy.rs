@@ -4,13 +4,13 @@
 //! worries about (Section VI).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dv_core::{DeepValidator, ValidatorConfig};
+use dv_core::{DeepValidator, ScoreWorkspace, ValidatorConfig};
 use dv_nn::layers::{Conv2d, Dense, Flatten, MaxPool2, Relu};
 use dv_nn::optim::Adam;
 use dv_nn::train::{fit, TrainConfig};
 use dv_nn::Network;
 use dv_runtime::Pool;
-use dv_tensor::Tensor;
+use dv_tensor::{Tensor, Workspace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -50,20 +50,23 @@ fn fixture() -> (Network, DeepValidator, Tensor) {
 }
 
 fn bench_discrepancy(c: &mut Criterion) {
-    let (mut net, validator, image) = fixture();
-    let batched = Tensor::stack(std::slice::from_ref(&image));
+    let (net, validator, image) = fixture();
+    let plan = net.plan();
+    let mut ws = Workspace::new();
+    let mut sw = ScoreWorkspace::new();
     let mut group = c.benchmark_group("discrepancy");
     group.bench_function("plain_forward", |b| {
-        b.iter(|| black_box(net.forward(black_box(&batched), false)))
+        b.iter(|| black_box(plan.forward(black_box(&image), &mut ws)))
     });
     group.bench_function("deep_validation_query", |b| {
-        b.iter(|| black_box(validator.discrepancy(&mut net, black_box(&image))))
+        b.iter(|| black_box(validator.score(&plan, black_box(&image), &mut sw)))
     });
     group.finish();
 
     // Batch scoring on a pinned one-thread pool vs a multi-thread pool:
-    // `discrepancies` fans image chunks out across dv-runtime workers
-    // with cloned networks, producing bit-identical reports either way.
+    // `discrepancies_with_plan` fans image chunks out across dv-runtime
+    // workers sharing the one plan, producing bit-identical reports
+    // either way.
     let batch: Vec<Tensor> = (0..32).map(|_| image.clone()).collect();
     let mut group = c.benchmark_group("discrepancy_batch32_threads");
     group.sample_size(10);
@@ -71,7 +74,7 @@ fn bench_discrepancy(c: &mut Criterion) {
     for &threads in &[1usize, max_threads] {
         let pool = Pool::new(threads);
         group.bench_function(BenchmarkId::new("threads", threads), |b| {
-            pool.install(|| b.iter(|| black_box(validator.discrepancies(&net, &batch))));
+            pool.install(|| b.iter(|| black_box(validator.discrepancies_with_plan(&plan, &batch))));
         });
     }
     group.finish();

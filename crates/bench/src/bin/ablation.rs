@@ -10,7 +10,10 @@
 //! 5. the max-confidence baseline the paper's premise dismisses.
 
 use dv_bench::Experiment;
-use dv_core::{DeepValidator, JointCalibration, LayerSelection, ValidatorConfig};
+use dv_core::{
+    DeepValidator, DiscrepancyReport, JointCalibration, LayerSelection, ScoreWorkspace,
+    ValidatorConfig,
+};
 use dv_datasets::DatasetSpec;
 use dv_detectors::{Detector, MaxConfidence};
 use dv_eval::roc_auc;
@@ -82,36 +85,26 @@ fn main() {
         .expect("fit failed");
         let fit_secs = t0.elapsed_secs_f64();
 
+        let mut sw = ScoreWorkspace::new();
+        let mut score = |img: &Tensor| {
+            validator
+                .score(&exp.plan, img, &mut sw)
+                .expect("eval images are well-formed")
+        };
         let t1 = dv_trace::Stopwatch::start();
-        let neg: Vec<f32> = clean
-            .iter()
-            .map(|img| validator.discrepancy(&mut exp.net, img).joint)
-            .collect();
+        let neg: Vec<DiscrepancyReport> = clean.iter().map(&mut score).collect();
         let query_ms = t1.elapsed_secs_f64() * 1000.0 / clean.len() as f64;
-        let pos: Vec<f32> = sccs
-            .iter()
-            .map(|img| validator.discrepancy(&mut exp.net, img).joint)
-            .collect();
-        let auc = roc_auc(&neg, &pos);
+        let pos: Vec<DiscrepancyReport> = sccs.iter().map(&mut score).collect();
+        let joint = |reports: &[DiscrepancyReport]| -> Vec<f32> {
+            reports.iter().map(|r| r.joint).collect()
+        };
+        let auc = roc_auc(&joint(&neg), &joint(&pos));
 
-        let calibration = JointCalibration::fit(&validator, &mut exp.net, &calib_clean);
-        let neg_c: Vec<f32> = clean
-            .iter()
-            .map(|img| {
-                validator
-                    .discrepancy_calibrated(&mut exp.net, img, &calibration)
-                    .joint
-            })
-            .collect();
-        let pos_c: Vec<f32> = sccs
-            .iter()
-            .map(|img| {
-                validator
-                    .discrepancy_calibrated(&mut exp.net, img, &calibration)
-                    .joint
-            })
-            .collect();
-        let auc_c = roc_auc(&neg_c, &pos_c);
+        let calibration = JointCalibration::fit(&validator, &exp.plan, &calib_clean);
+        let calibrated = |reports: &[DiscrepancyReport]| -> Vec<f32> {
+            reports.iter().map(|r| calibration.apply(r).joint).collect()
+        };
+        let auc_c = roc_auc(&calibrated(&neg), &calibrated(&pos));
         eprintln!("{label}: auc {auc:.4}, calibrated {auc_c:.4}");
         table.row(vec![
             label,
@@ -126,8 +119,8 @@ fn main() {
     // --- 5: the confidence baseline -----------------------------------
     println!("--- max-confidence baseline (the paper's Table V premise) ---");
     let mut conf = MaxConfidence::new();
-    let neg = conf.score_all(&mut exp.net, &clean);
-    let pos = conf.score_all(&mut exp.net, &sccs);
+    let neg = conf.score_all(&mut exp.net, &exp.plan, &clean);
+    let pos = conf.score_all(&mut exp.net, &exp.plan, &sccs);
     println!(
         "max-confidence AUC on SCCs: {:.4} (Deep Validation: see above)\n",
         roc_auc(&neg, &pos)

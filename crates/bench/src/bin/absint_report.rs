@@ -31,7 +31,7 @@ use dv_eval::roc_auc;
 use dv_eval::search::{grid_search_with_plan, SearchOutcome, SearchSpace};
 use dv_imgops::{brightness_interval, Transform, TransformKind};
 use dv_nn::layers::{Conv2d, Dense, Flatten, MaxPool2, Relu};
-use dv_nn::Network;
+use dv_nn::{InferencePlan, Network};
 use dv_tensor::{Tensor, Workspace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -69,11 +69,16 @@ fn fixture(seed: u64) -> (Network, Vec<Tensor>, Vec<usize>) {
 }
 
 /// Correctly classified dark-class seeds (brightening flips them).
-fn dark_seeds(net: &mut Network, images: &[Tensor], labels: &[usize]) -> (Vec<Tensor>, Vec<usize>) {
+fn dark_seeds(
+    plan: &InferencePlan,
+    images: &[Tensor],
+    labels: &[usize],
+) -> (Vec<Tensor>, Vec<usize>) {
+    let mut ws = Workspace::new();
     let mut seeds = Vec::new();
     let mut seed_labels = Vec::new();
     for (img, &l) in images.iter().zip(labels) {
-        if l == 0 && net.classify(&Tensor::stack(std::slice::from_ref(img))).0 == 0 {
+        if l == 0 && plan.classify(img, &mut ws).0 == 0 {
             seeds.push(img.clone());
             seed_labels.push(0);
         }
@@ -180,31 +185,31 @@ fn detector_phase() -> DetectorPhase {
     let eval_set = exp.build_eval_set(&outcomes);
     let validator = exp.fit_validator();
     let taps = validator.validated_probes().to_vec();
+    let plan = &exp.plan;
 
     eprintln!(
         "[detector] calibrating certified boxes on {} taps, {} training images",
         taps.len(),
         exp.dataset.train.images.len()
     );
-    let mut bounds = BoundsDetector::fit_with_plan(
-        &exp.net.plan(),
+    let mut bounds = BoundsDetector::fit(
+        plan,
         &exp.dataset.train.images,
         &exp.dataset.train.labels,
         &taps,
         0.05,
     );
 
-    let plan = exp.net.plan();
     let mut ws = Workspace::new();
     let clean_joint: Vec<f32> = validator
-        .discrepancies_with_plan(&plan, &eval_set.clean)
+        .discrepancies_with_plan(plan, &eval_set.clean)
         .iter()
         .map(|r| r.joint)
         .collect();
     let clean_bounds: Vec<f32> = eval_set
         .clean
         .iter()
-        .map(|img| bounds.score_with_plan(&mut exp.net, &plan, &mut ws, img))
+        .map(|img| bounds.score(&mut exp.net, plan, &mut ws, img))
         .collect();
 
     // Score every successful corner case through both detectors.
@@ -212,10 +217,9 @@ fn detector_phase() -> DetectorPhase {
     let mut scc_bounds: Vec<f32> = Vec::new();
     let mut kinds: Vec<TransformKind> = Vec::new();
     for c in eval_set.corner.iter().filter(|c| c.successful) {
-        scc_joint.push(
-            validator.discrepancies_with_plan(&plan, std::slice::from_ref(&c.image))[0].joint,
-        );
-        scc_bounds.push(bounds.score_with_plan(&mut exp.net, &plan, &mut ws, &c.image));
+        scc_joint
+            .push(validator.discrepancies_with_plan(plan, std::slice::from_ref(&c.image))[0].joint);
+        scc_bounds.push(bounds.score(&mut exp.net, plan, &mut ws, &c.image));
         kinds.push(c.kind);
     }
     assert!(!scc_joint.is_empty(), "the workload produced no SCCs");
@@ -266,10 +270,10 @@ fn main() {
     }
 
     eprintln!("phase A: certified grid-search pruning");
-    let (mut net, images, labels) = fixture(3);
-    let (seeds, seed_labels) = dark_seeds(&mut net, &images, &labels);
-    assert!(seeds.len() >= 10, "fixture must classify dark seeds");
+    let (net, images, labels) = fixture(3);
     let plan = net.plan();
+    let (seeds, seed_labels) = dark_seeds(&plan, &images, &labels);
+    assert!(seeds.len() >= 10, "fixture must classify dark seeds");
 
     let mut comparisons: Vec<Comparison> = Vec::new();
     for space in [

@@ -11,16 +11,16 @@
 
 use dv_bench::cache::{cache_dir, model_cached};
 use dv_bench::pipeline::{Sizes, MIN_SUCCESS_RATE, TARGET_SUCCESS_RATE};
-use dv_core::{DeepValidator, LayerSelection, ValidatorConfig};
+use dv_core::{DeepValidator, LayerSelection, ScoreWorkspace, ValidatorConfig};
 use dv_datasets::DatasetSpec;
-use dv_eval::search::{grid_search, SearchSpace};
+use dv_eval::search::{grid_search_with_plan, SearchSpace};
 use dv_eval::{roc_auc, EvaluationSet};
 use dv_nn::layers::{Dense, Flatten, MaxPool2, Relu};
 use dv_nn::layers_extra::{BatchNorm2d, DenseBlock, Dropout};
 use dv_nn::optim::Adadelta;
 use dv_nn::train::{evaluate, fit, TrainConfig};
 use dv_nn::Network;
-use dv_tensor::Tensor;
+use dv_tensor::{Tensor, Workspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -86,7 +86,8 @@ fn main() {
             );
         }
     });
-    let stats = evaluate(&mut net, &dataset.test.images, &dataset.test.labels);
+    let plan = net.plan();
+    let stats = evaluate(&plan, &dataset.test.images, &dataset.test.labels);
     println!(
         "DenseNet variant: {} probes, test accuracy {:.4}, confidence {:.4}",
         net.num_probes(),
@@ -95,21 +96,22 @@ fn main() {
     );
 
     // Seeds and corner cases via the shared grid search.
+    let mut ws = Workspace::new();
     let mut seeds = Vec::new();
     let mut seed_labels = Vec::new();
     for (img, &label) in dataset.test.images.iter().zip(&dataset.test.labels) {
         if seeds.len() >= sizes.n_seeds {
             break;
         }
-        if net.classify(&Tensor::stack(std::slice::from_ref(img))).0 == label {
+        if plan.classify(img, &mut ws).0 == label {
             seeds.push(img.clone());
             seed_labels.push(label);
         }
     }
     let mut eval_set = EvaluationSet::new();
     for space in SearchSpace::catalogue(false) {
-        let outcome = grid_search(
-            &net,
+        let outcome = grid_search_with_plan(
+            &plan,
             &seeds,
             &seed_labels,
             &space,
@@ -131,7 +133,7 @@ fn main() {
                 .zip(&seed_labels)
                 .map(|(img, &l)| (t.apply(img), l))
                 .collect();
-            eval_set.extend_corner(&net, outcome.kind, items);
+            eval_set.extend_corner_with_plan(&plan, &mut ws, outcome.kind, items);
         }
     }
     eval_set.extend_clean(
@@ -153,16 +155,19 @@ fn main() {
     let validator = DeepValidator::fit(&net, &dataset.train.images, &dataset.train.labels, &config)
         .expect("validator fit failed");
 
-    let clean: Vec<f32> = eval_set
-        .clean
-        .iter()
-        .map(|img| validator.discrepancy(&mut net, img).joint)
-        .collect();
+    let mut sw = ScoreWorkspace::new();
+    let mut joint = |img: &Tensor| {
+        validator
+            .score(&plan, img, &mut sw)
+            .expect("eval images are well-formed")
+            .joint
+    };
+    let clean: Vec<f32> = eval_set.clean.iter().map(&mut joint).collect();
     let sccs: Vec<f32> = eval_set
         .corner
         .iter()
         .filter(|c| c.successful)
-        .map(|c| validator.discrepancy(&mut net, &c.image).joint)
+        .map(|c| joint(&c.image))
         .collect();
     if sccs.is_empty() {
         println!("no SCCs were produced; model too robust at this scale");

@@ -35,7 +35,7 @@ fn run(spec: DatasetSpec) {
         FeatureSqueezing::color_default()
     };
     let mut kde = KdeDetector::fit(
-        &mut exp.net,
+        &exp.plan,
         &exp.dataset.train.images,
         &exp.dataset.train.labels,
         200,
@@ -43,7 +43,7 @@ fn run(spec: DatasetSpec) {
     )
     .expect("KDE fit failed");
     let mut maha = MahalanobisDetector::fit(
-        &mut exp.net,
+        &exp.plan,
         &exp.dataset.train.images,
         &exp.dataset.train.labels,
         200,
@@ -59,11 +59,11 @@ fn run(spec: DatasetSpec) {
     let mut table = TextTable::new(headers.iter().map(String::as_str).collect());
 
     // All detectors share one immutable plan for their forward passes.
-    let plan = exp.net.plan();
+    let plan = &exp.plan;
     let detectors: Vec<&mut dyn Detector> =
         vec![&mut dv, &mut fs, &mut kde, &mut maha, &mut odin, &mut conf];
     for detector in detectors {
-        let clean = detector.score_all_with_plan(&mut exp.net, &plan, &eval_set.clean);
+        let clean = detector.score_all(&mut exp.net, plan, &eval_set.clean);
         let mut cells = vec![detector.name().to_owned()];
         for kind in &kinds {
             let images: Vec<_> = eval_set
@@ -76,7 +76,7 @@ fn run(spec: DatasetSpec) {
             } else {
                 Some(roc_auc(
                     &clean,
-                    &detector.score_all_with_plan(&mut exp.net, &plan, &images),
+                    &detector.score_all(&mut exp.net, plan, &images),
                 ))
             };
             cells.push(fmt_score(cell));
@@ -91,7 +91,7 @@ fn run(spec: DatasetSpec) {
         } else {
             Some(roc_auc(
                 &clean,
-                &detector.score_all_with_plan(&mut exp.net, &plan, &all),
+                &detector.score_all(&mut exp.net, plan, &all),
             ))
         };
         cells.push(fmt_score(overall));

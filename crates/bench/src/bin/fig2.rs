@@ -11,7 +11,7 @@ fn main() {
     println!("== Figure 2: examples of synthetic corner cases ==\n");
     let dir = out_dir("fig2");
     for spec in DatasetSpec::all() {
-        let mut exp = Experiment::prepare(spec);
+        let exp = Experiment::prepare(spec);
         let outcomes = exp.search_corner_cases();
         let (seeds, _) = exp.seeds();
         // One row per seed example: the clean seed followed by each

@@ -12,20 +12,20 @@ fn main() {
     println!("== Figure 3: discrepancy distributions (legitimate vs SCCs) ==\n");
     let dir = out_dir("fig3");
     for spec in DatasetSpec::all() {
-        let mut exp = Experiment::prepare(spec);
+        let exp = Experiment::prepare(spec);
         let outcomes = exp.search_corner_cases();
         let eval_set = exp.build_eval_set(&outcomes);
         let validator = exp.fit_validator();
 
         // One shared plan and one reusable workspace score every image.
-        let plan = exp.net.plan();
+        let plan = &exp.plan;
         let mut sw = dv_core::ScoreWorkspace::new();
         let clean: Vec<f32> = eval_set
             .clean
             .iter()
             .map(|img| {
                 validator
-                    .score(&plan, img, &mut sw)
+                    .score(plan, img, &mut sw)
                     .expect("eval-set images are well-formed")
                     .joint
             })
@@ -36,7 +36,7 @@ fn main() {
             .filter(|c| c.successful)
             .map(|c| {
                 validator
-                    .score(&plan, &c.image, &mut sw)
+                    .score(plan, &c.image, &mut sw)
                     .expect("corner-case images are well-formed")
                     .joint
             })

@@ -12,7 +12,7 @@ use dv_detectors::{Detector, FeatureSqueezing};
 use dv_eval::table::TextTable;
 use dv_eval::{detection_rate, threshold_at_fpr};
 use dv_imgops::Transform;
-use dv_tensor::Tensor;
+use dv_tensor::{Tensor, Workspace};
 
 const FPR: f32 = 0.059;
 
@@ -55,11 +55,12 @@ fn main() {
 
     let (seeds, seed_labels) = exp.seeds();
     let clean: Vec<Tensor> = exp.clean_negatives(seeds.len());
-    let dv_threshold = threshold_at_fpr(&dv.score_all(&mut exp.net, &clean), FPR);
-    let fs_threshold = threshold_at_fpr(&fs.score_all(&mut exp.net, &clean), FPR);
+    let dv_threshold = threshold_at_fpr(&dv.score_all(&mut exp.net, &exp.plan, &clean), FPR);
+    let fs_threshold = threshold_at_fpr(&fs.score_all(&mut exp.net, &exp.plan, &clean), FPR);
     println!("both detectors pinned at clean-data FPR {FPR}\n");
 
     let dir = out_dir("fig4_extended");
+    let mut ws = Workspace::new();
     for (name, steps) in sweeps() {
         let mut table = TextTable::new(vec![
             "Config",
@@ -75,7 +76,7 @@ fn main() {
             let mut fccs = Vec::new();
             for (seed, &label) in seeds.iter().zip(&seed_labels) {
                 let img = transform.apply(seed);
-                let (pred, _) = exp.net.classify(&Tensor::stack(std::slice::from_ref(&img)));
+                let (pred, _) = exp.plan.classify(&img, &mut ws);
                 if pred != label {
                     sccs.push(img);
                 } else {
@@ -90,7 +91,10 @@ fn main() {
                 if images.is_empty() {
                     None
                 } else {
-                    Some(detection_rate(&d.score_all(net, images), threshold))
+                    Some(detection_rate(
+                        &d.score_all(net, &exp.plan, images),
+                        threshold,
+                    ))
                 }
             };
             let dv_scc = rate(&mut dv, &mut exp.net, &sccs, dv_threshold);

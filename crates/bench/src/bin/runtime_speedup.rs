@@ -4,14 +4,11 @@
 //! batch discrepancy scoring, each with a bit-identity check between the
 //! two arms.
 
+use dv_bench::models::stripe_fixture;
 use dv_core::{DeepValidator, ValidatorConfig};
-use dv_nn::layers::{Conv2d, Dense, Flatten, MaxPool2, Relu};
-use dv_nn::optim::Adam;
-use dv_nn::train::{fit, predict_labels, TrainConfig};
-use dv_nn::Network;
+use dv_nn::train::predict_labels;
 use dv_ocsvm::{OcsvmParams, OneClassSvm, ResolvedKernel};
 use dv_runtime::Pool;
-use dv_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -65,40 +62,6 @@ fn blob(n: usize, d: usize, seed: u64) -> Vec<Vec<f32>> {
         .collect()
 }
 
-fn conv_fixture() -> (Network, Vec<Tensor>, Vec<usize>) {
-    let mut rng = StdRng::seed_from_u64(3);
-    // Vertical stripes whose position encodes the class: separable enough
-    // that a short training run classifies every class correctly, which
-    // the validator fit requires.
-    let mut images = Vec::new();
-    let mut labels = Vec::new();
-    for i in 0..96 {
-        let class = i % 4;
-        let mut img = Tensor::zeros(&[1, 12, 12]);
-        let cx = 2 + class * 3;
-        for y in 2..10 {
-            img.set(&[0, y, cx], rng.gen_range(0.7f32..1.0));
-        }
-        images.push(img);
-        labels.push(class);
-    }
-    let mut net = Network::new(&[1, 12, 12]);
-    net.push(Conv2d::new(&mut rng, 1, 6, 3))
-        .push_probe(Relu::new())
-        .push(MaxPool2::new())
-        .push(Flatten::new())
-        .push(Dense::new(&mut rng, 6 * 5 * 5, 32))
-        .push_probe(Relu::new())
-        .push(Dense::new(&mut rng, 32, 4));
-    let mut opt = Adam::new(0.01);
-    let cfg = TrainConfig {
-        epochs: 6,
-        batch_size: 32,
-    };
-    Pool::new(1).install(|| fit(&mut net, &mut opt, &images, &labels, &cfg, &mut rng));
-    (net, images, labels)
-}
-
 fn main() {
     let threads = dv_runtime::config::requested_threads()
         .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
@@ -131,30 +94,25 @@ fn main() {
         },
     ));
 
-    let (net, images, labels) = conv_fixture();
+    let (net, images, labels) = stripe_fixture();
+    let plan = net.plan();
     rows.push(run(
         "batch_inference_n96",
         threads,
         3,
-        || {
-            let mut worker = net.clone();
-            predict_labels(&mut worker, &images)
-        },
+        || predict_labels(&plan, &images),
         |a, b| a == b,
     ));
 
-    let validator = {
-        let fit_net = net.clone();
-        Pool::new(1).install(|| {
-            DeepValidator::fit(&fit_net, &images, &labels, &ValidatorConfig::default())
-                .expect("validator fit failed")
-        })
-    };
+    let validator = Pool::new(1).install(|| {
+        DeepValidator::fit(&net, &images, &labels, &ValidatorConfig::default())
+            .expect("validator fit failed")
+    });
     rows.push(run(
         "batch_discrepancy_n96",
         threads,
         3,
-        || validator.discrepancies(&net, &images),
+        || validator.discrepancies_with_plan(&plan, &images),
         |a, b| {
             a.iter()
                 .zip(b)

@@ -42,7 +42,7 @@ fn main() {
         "Mean Top-1 Prediction Confidence",
     ]);
     for spec in DatasetSpec::all() {
-        let mut exp = Experiment::prepare(spec);
+        let exp = Experiment::prepare(spec);
         let outcomes = exp.search_corner_cases();
         for o in &outcomes {
             t5.row(vec![

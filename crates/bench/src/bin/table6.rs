@@ -3,6 +3,7 @@
 //! validator, for all eight corner-case kinds across the three datasets.
 
 use dv_bench::Experiment;
+use dv_core::ScoreWorkspace;
 use dv_datasets::DatasetSpec;
 use dv_eval::table::{fmt_score, TextTable};
 use dv_eval::{roc_auc, EvaluationSet};
@@ -17,7 +18,7 @@ fn main() {
 }
 
 fn run_dataset(spec: DatasetSpec) {
-    let mut exp = Experiment::prepare(spec);
+    let exp = Experiment::prepare(spec);
     let outcomes = exp.search_corner_cases();
     let eval_set = exp.build_eval_set(&outcomes);
     let validator = exp.fit_validator();
@@ -32,11 +33,16 @@ fn run_dataset(spec: DatasetSpec) {
 
     // One discrepancy pass per image gives all single validators and the
     // joint validator at once.
-    let clean_reports = validator.discrepancies(&exp.net, &eval_set.clean);
+    let clean_reports = validator.discrepancies_with_plan(&exp.plan, &eval_set.clean);
+    let mut sw = ScoreWorkspace::new();
     let corner_reports: Vec<_> = eval_set
         .corner
         .iter()
-        .map(|c| validator.discrepancy(&mut exp.net, &c.image))
+        .map(|c| {
+            validator
+                .score(&exp.plan, &c.image, &mut sw)
+                .expect("corner-case images are well-formed")
+        })
         .collect();
 
     let layers = validator.num_validated_layers();

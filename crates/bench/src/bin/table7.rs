@@ -36,7 +36,7 @@ fn main() {
             FeatureSqueezing::color_default()
         };
         let mut kde = KdeDetector::fit(
-            &mut exp.net,
+            &exp.plan,
             &exp.dataset.train.images,
             &exp.dataset.train.labels,
             200,
@@ -50,10 +50,9 @@ fn main() {
             ("Feature Squeezing", &mut fs),
             ("Kernel Density Estimation", &mut kde),
         ];
-        let plan = exp.net.plan();
         for (label, detector) in methods.iter_mut() {
-            let clean = detector.score_all_with_plan(&mut exp.net, &plan, &eval_set.clean);
-            let pos = detector.score_all_with_plan(&mut exp.net, &plan, &scc_images);
+            let clean = detector.score_all(&mut exp.net, &exp.plan, &eval_set.clean);
+            let pos = detector.score_all(&mut exp.net, &exp.plan, &scc_images);
             let auc = roc_auc(&clean, &pos);
             eprintln!("[{}]   {label}: {auc:.4}", spec.name());
             table.row(vec![

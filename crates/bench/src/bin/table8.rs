@@ -96,8 +96,8 @@ fn main() {
     let seed_labels = &seed_labels[..n_attack];
     let clean: Vec<Tensor> = exp.clean_negatives(2 * n_attack);
 
-    let clean_dv = dv.score_all(&mut exp.net, &clean);
-    let clean_fs = fs.score_all(&mut exp.net, &clean);
+    let clean_dv = dv.score_all(&mut exp.net, &exp.plan, &clean);
+    let clean_fs = fs.score_all(&mut exp.net, &exp.plan, &clean);
 
     let mut table = TextTable::new(vec![
         "Attack",
@@ -124,10 +124,10 @@ fn main() {
             aes.push(result.adversarial);
         }
         let success_rate = saes.len() as f32 / aes.len() as f32;
-        let dv_ae = dv.score_all(&mut exp.net, &aes);
-        let fs_ae = fs.score_all(&mut exp.net, &aes);
-        let dv_sae = dv.score_all(&mut exp.net, &saes);
-        let fs_sae = fs.score_all(&mut exp.net, &saes);
+        let dv_ae = dv.score_all(&mut exp.net, &exp.plan, &aes);
+        let fs_ae = fs.score_all(&mut exp.net, &exp.plan, &aes);
+        let dv_sae = dv.score_all(&mut exp.net, &exp.plan, &saes);
+        let fs_sae = fs.score_all(&mut exp.net, &exp.plan, &saes);
 
         let auc = |pos: &[f32], clean: &[f32]| {
             if pos.is_empty() {

@@ -17,47 +17,9 @@
 //! Requires the `trace` feature: `cargo run --release -p dv-bench
 //! --bin trace_report --features trace`.
 
+use dv_bench::models::stripe_fixture;
 use dv_core::{DeepValidator, ScoreWorkspace, ValidatorConfig};
-use dv_nn::layers::{Conv2d, Dense, Flatten, MaxPool2, Relu};
-use dv_nn::optim::Adam;
-use dv_nn::train::{fit, TrainConfig};
-use dv_nn::Network;
 use dv_runtime::Pool;
-use dv_tensor::Tensor;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// Same 4-class stripe fixture as `serve_soak`/`inference_latency`.
-fn conv_fixture() -> (Network, Vec<Tensor>, Vec<usize>) {
-    let mut rng = StdRng::seed_from_u64(3);
-    let mut images = Vec::new();
-    let mut labels = Vec::new();
-    for i in 0..96 {
-        let class = i % 4;
-        let mut img = Tensor::zeros(&[1, 12, 12]);
-        let cx = 2 + class * 3;
-        for y in 2..10 {
-            img.set(&[0, y, cx], rng.gen_range(0.7f32..1.0));
-        }
-        images.push(img);
-        labels.push(class);
-    }
-    let mut net = Network::new(&[1, 12, 12]);
-    net.push(Conv2d::new(&mut rng, 1, 6, 3))
-        .push_probe(Relu::new())
-        .push(MaxPool2::new())
-        .push(Flatten::new())
-        .push(Dense::new(&mut rng, 6 * 5 * 5, 32))
-        .push_probe(Relu::new())
-        .push(Dense::new(&mut rng, 32, 4));
-    let mut opt = Adam::new(0.01);
-    let cfg = TrainConfig {
-        epochs: 6,
-        batch_size: 32,
-    };
-    Pool::new(1).install(|| fit(&mut net, &mut opt, &images, &labels, &cfg, &mut rng));
-    (net, images, labels)
-}
 
 fn main() {
     if !dv_trace::tracing_enabled() {
@@ -68,7 +30,7 @@ fn main() {
         std::process::exit(2);
     }
 
-    let (net, images, labels) = conv_fixture();
+    let (net, images, labels) = stripe_fixture();
     let validator = Pool::new(1).install(|| {
         DeepValidator::fit(&net, &images, &labels, &ValidatorConfig::default())
             .expect("validator fit failed")

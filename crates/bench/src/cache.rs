@@ -163,6 +163,29 @@ mod tests {
     }
 
     #[test]
+    fn model_cache_retrains_over_another_architecture() {
+        with_temp_cache("arch", |dir| {
+            let build = |outputs: usize| {
+                let mut rng = StdRng::seed_from_u64(2);
+                let mut net = Network::new(&[4]);
+                net.push(Flatten::new())
+                    .push(Dense::new(&mut rng, 4, outputs));
+                net
+            };
+            // Another architecture cached under the same key.
+            assert!(!model_cached(dir, "t", &mut build(3), |_| {}));
+            let mut retrained = false;
+            let hit = model_cached(dir, "t", &mut build(2), |_| retrained = true);
+            assert!(!hit, "a foreign checkpoint must not count as a hit");
+            assert!(retrained, "a foreign checkpoint must be retrained over");
+            // The retrained model replaced the stale entry.
+            assert!(model_cached(dir, "t", &mut build(2), |_| {
+                panic!("must not retrain")
+            }));
+        });
+    }
+
+    #[test]
     fn tensors_cache_round_trips() {
         with_temp_cache("tensors", |dir| {
             let compute = || {

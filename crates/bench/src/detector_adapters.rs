@@ -32,11 +32,7 @@ impl Detector for JointValidatorDetector {
         "deep-validation"
     }
 
-    fn score(&mut self, net: &mut Network, image: &Tensor) -> f32 {
-        self.validator.discrepancy(net, image).joint
-    }
-
-    fn score_with_plan(
+    fn score(
         &mut self,
         _net: &mut Network,
         plan: &InferencePlan,
@@ -88,11 +84,7 @@ impl Detector for SingleValidatorDetector {
         &self.name
     }
 
-    fn score(&mut self, net: &mut Network, image: &Tensor) -> f32 {
-        self.validator.discrepancy(net, image).per_layer[self.layer]
-    }
-
-    fn score_with_plan(
+    fn score(
         &mut self,
         _net: &mut Network,
         plan: &InferencePlan,
@@ -151,41 +143,29 @@ mod tests {
     #[test]
     fn joint_adapter_matches_direct_discrepancy() {
         let (mut net, v, images) = setup();
+        let plan = net.plan();
+        let mut ws = Workspace::new();
+        let mut sw = ScoreWorkspace::new();
         let mut adapter = JointValidatorDetector::new(v.clone());
         for img in images.iter().take(3) {
-            let direct = v.discrepancy(&mut net, img).joint;
-            assert_eq!(adapter.score(&mut net, img), direct);
+            let direct = v.score(&plan, img, &mut sw).unwrap().joint;
+            let adapted = adapter.score(&mut net, &plan, &mut ws, img);
+            assert_eq!(adapted.to_bits(), direct.to_bits());
         }
     }
 
     #[test]
     fn single_adapters_cover_each_layer() {
         let (mut net, v, images) = setup();
-        let report = v.discrepancy(&mut net, &images[0]);
-        for layer in 0..v.num_validated_layers() {
-            let mut adapter = SingleValidatorDetector::new(v.clone(), layer);
-            assert_eq!(adapter.score(&mut net, &images[0]), report.per_layer[layer]);
-        }
-    }
-
-    #[test]
-    fn plan_path_matches_mutable_path_bit_for_bit() {
-        let (mut net, v, images) = setup();
         let plan = net.plan();
         let mut ws = Workspace::new();
-        let mut joint = JointValidatorDetector::new(v.clone());
-        for img in images.iter().take(5) {
-            let a = joint.score(&mut net, img);
-            let b = joint.score_with_plan(&mut net, &plan, &mut ws, img);
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        let report = v
+            .score(&plan, &images[0], &mut ScoreWorkspace::new())
+            .unwrap();
         for layer in 0..v.num_validated_layers() {
-            let mut single = SingleValidatorDetector::new(v.clone(), layer);
-            for img in images.iter().take(3) {
-                let a = single.score(&mut net, img);
-                let b = single.score_with_plan(&mut net, &plan, &mut ws, img);
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
+            let mut adapter = SingleValidatorDetector::new(v.clone(), layer);
+            let adapted = adapter.score(&mut net, &plan, &mut ws, &images[0]);
+            assert_eq!(adapted.to_bits(), report.per_layer[layer].to_bits());
         }
     }
 

@@ -9,10 +9,14 @@
 
 use dv_datasets::DatasetSpec;
 use dv_nn::layers::{Conv2d, Dense, Flatten, MaxPool2, Relu};
+use dv_nn::optim::Adam;
+use dv_nn::train::{fit, TrainConfig};
 use dv_nn::Network;
+use dv_runtime::Pool;
 use dv_tensor::conv::Conv2dGeom;
+use dv_tensor::Tensor;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Training epochs appropriate for each model at the default data sizes.
 pub fn default_epochs(spec: DatasetSpec) -> usize {
@@ -148,10 +152,48 @@ fn street_model(seed: u64) -> Network {
     net
 }
 
+/// The small trained model the serving, tracing and runtime harnesses
+/// share: 96 `[1, 12, 12]` images of 4 classes, where the position of a
+/// vertical stripe encodes the class, and a two-probe conv net trained on
+/// them from seed 3 under a single-thread pool, so the weights are the
+/// same at any `DV_THREADS`. The classes are separable enough that a
+/// short run classifies every class correctly somewhere (the validator
+/// fit requires it), and the net is big enough that tight deadlines
+/// exercise the serving degradation ladder.
+pub fn stripe_fixture() -> (Network, Vec<Tensor>, Vec<usize>) {
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut images = Vec::new();
+    let mut labels = Vec::new();
+    for i in 0..96 {
+        let class = i % 4;
+        let mut img = Tensor::zeros(&[1, 12, 12]);
+        let cx = 2 + class * 3;
+        for y in 2..10 {
+            img.set(&[0, y, cx], rng.gen_range(0.7f32..1.0));
+        }
+        images.push(img);
+        labels.push(class);
+    }
+    let mut net = Network::new(&[1, 12, 12]);
+    net.push(Conv2d::new(&mut rng, 1, 6, 3))
+        .push_probe(Relu::new())
+        .push(MaxPool2::new())
+        .push(Flatten::new())
+        .push(Dense::new(&mut rng, 6 * 5 * 5, 32))
+        .push_probe(Relu::new())
+        .push(Dense::new(&mut rng, 32, 4));
+    let mut opt = Adam::new(0.01);
+    let cfg = TrainConfig {
+        epochs: 6,
+        batch_size: 32,
+    };
+    Pool::new(1).install(|| fit(&mut net, &mut opt, &images, &labels, &cfg, &mut rng));
+    (net, images, labels)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dv_tensor::Tensor;
 
     #[test]
     fn models_produce_ten_logits() {

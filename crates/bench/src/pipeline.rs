@@ -7,8 +7,8 @@ use dv_eval::search::{grid_search_with_plan, SearchOutcome, SearchSpace};
 use dv_eval::EvaluationSet;
 use dv_imgops::{Transform, TransformKind};
 use dv_nn::optim::Adadelta;
-use dv_nn::train::{evaluate, fit, EvalStats, TrainConfig};
-use dv_nn::Network;
+use dv_nn::train::{evaluate, fit, predict_labels, EvalStats, TrainConfig};
+use dv_nn::{InferencePlan, Network};
 use dv_tensor::{Tensor, Workspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -72,8 +72,11 @@ pub struct Experiment {
     pub spec: DatasetSpec,
     /// The generated dataset.
     pub dataset: Dataset,
-    /// The trained classifier.
+    /// The trained classifier. Attacks and ODIN's preprocessing need
+    /// its gradients; everything else runs through [`plan`](Self::plan).
     pub net: Network,
+    /// The classifier compiled for inference, once, after training.
+    pub plan: InferencePlan,
     /// Test accuracy and mean confidence (Table III's columns).
     pub model_stats: EvalStats,
     /// The sizes used.
@@ -139,11 +142,13 @@ impl Experiment {
         if hit {
             eprintln!("[{}] loaded cached model", spec.name());
         }
-        let model_stats = evaluate(&mut net, &dataset.test.images, &dataset.test.labels);
+        let plan = net.plan();
+        let model_stats = evaluate(&plan, &dataset.test.images, &dataset.test.labels);
         Self {
             spec,
             dataset,
             net,
+            plan,
             model_stats,
             sizes,
         }
@@ -151,9 +156,8 @@ impl Experiment {
 
     /// The seed set: the first `n_seeds` correctly classified test images
     /// (the paper fixes 200 correctly classified seeds per model).
-    pub fn seeds(&mut self) -> (Vec<Tensor>, Vec<usize>) {
+    pub fn seeds(&self) -> (Vec<Tensor>, Vec<usize>) {
         let test = &self.dataset.test;
-        let net = &mut self.net;
         let mut images = Vec::new();
         let mut labels = Vec::new();
         // Classify one seed-sized batch at a time (each batch fans out
@@ -164,7 +168,7 @@ impl Experiment {
         let mut start = 0;
         'scan: while start < test.images.len() {
             let end = (start + chunk).min(test.images.len());
-            let preds = dv_nn::train::predict_labels(net, &test.images[start..end]);
+            let preds = predict_labels(&self.plan, &test.images[start..end]);
             for ((img, &label), &pred) in test.images[start..end]
                 .iter()
                 .zip(&test.labels[start..end])
@@ -199,11 +203,11 @@ impl Experiment {
     /// Runs (or loads) the full corner-case grid search: every single
     /// transformation in the catalogue plus the per-dataset combined
     /// transformation (paper Section IV-B).
-    pub fn search_corner_cases(&mut self) -> Vec<SearchOutcome> {
+    pub fn search_corner_cases(&self) -> Vec<SearchOutcome> {
         let (seeds, seed_labels) = self.seeds();
         let cache_name = format!("{}-search", self.cache_prefix());
         let spec = self.spec;
-        let net = &mut self.net;
+        let plan = &self.plan;
         let encoded = tensors_cached(&cache_dir(), &cache_name, || {
             eprintln!("[{}] grid-searching corner cases...", spec.name());
             let spaces = SearchSpace::catalogue(spec.is_grayscale());
@@ -211,11 +215,9 @@ impl Experiment {
             // one shared immutable plan (no network cloning); `par_map`
             // keeps catalogue order, so the outcome list matches a
             // sequential loop at any thread count.
-            let plan = net.plan();
-            let plan_ref = &plan;
             let mut outcomes = dv_runtime::par_map(&spaces, |space| {
                 grid_search_with_plan(
-                    plan_ref,
+                    plan,
                     &seeds,
                     &seed_labels,
                     space,
@@ -237,7 +239,7 @@ impl Experiment {
             }
             if let Some(combined) = combined_transform(spec, &outcomes) {
                 let (rate, conf) = dv_eval::search::success_rate_with_plan(
-                    plan_ref,
+                    plan,
                     &mut Workspace::new(),
                     &apply_all(&combined, &seeds),
                     &seed_labels,
@@ -265,11 +267,10 @@ impl Experiment {
 
     /// Builds the evaluation set (Section IV-D1): corner cases of every
     /// successful kind plus an equal number of clean test images.
-    pub fn build_eval_set(&mut self, outcomes: &[SearchOutcome]) -> EvaluationSet {
+    pub fn build_eval_set(&self, outcomes: &[SearchOutcome]) -> EvaluationSet {
         let (seeds, seed_labels) = self.seeds();
         let mut set = EvaluationSet::new();
-        // One plan and one workspace classify every corner-case batch.
-        let plan = self.net.plan();
+        // One workspace classifies every corner-case batch.
         let mut ws = Workspace::new();
         for outcome in outcomes {
             let Some(transform) = &outcome.chosen else {
@@ -280,7 +281,7 @@ impl Experiment {
                 .into_iter()
                 .zip(seed_labels.iter().copied())
                 .collect();
-            set.extend_corner_with_plan(&plan, &mut ws, outcome.kind, items);
+            set.extend_corner_with_plan(&self.plan, &mut ws, outcome.kind, items);
         }
         let clean = self.clean_negatives(set.corner.len().max(seeds.len()));
         set.extend_clean(clean);
@@ -288,11 +289,11 @@ impl Experiment {
     }
 
     /// Fits (or loads) the Deep Validation detector for this model.
-    pub fn fit_validator(&mut self) -> DeepValidator {
+    pub fn fit_validator(&self) -> DeepValidator {
         let cache_name = format!("{}-dv", self.cache_prefix());
         let spec = self.spec;
         let layers = LayerSelection::LastK(validated_layers(spec));
-        let net = &mut self.net;
+        let net = &self.net;
         let dataset = &self.dataset;
         validator_cached(&cache_dir(), &cache_name, || {
             eprintln!("[{}] fitting Deep Validation (Algorithm 1)...", spec.name());

@@ -8,7 +8,7 @@
 //! layer whose raw discrepancies swing wildly on clean inputs no longer
 //! drowns out a precise one.
 
-use dv_nn::Network;
+use dv_nn::InferencePlan;
 use dv_tensor::stats::{mean, std_dev};
 use dv_tensor::Tensor;
 
@@ -23,17 +23,18 @@ pub struct JointCalibration {
 }
 
 impl JointCalibration {
-    /// Fits the calibration on a set of clean (held-out) images.
+    /// Fits the calibration on a set of clean (held-out) images, scored
+    /// through `plan`.
     ///
     /// # Panics
     ///
-    /// Panics if `clean` is empty.
-    pub fn fit(validator: &DeepValidator, net: &mut Network, clean: &[Tensor]) -> Self {
+    /// Panics if `clean` is empty or an image does not match the plan
+    /// input.
+    pub fn fit(validator: &DeepValidator, plan: &InferencePlan, clean: &[Tensor]) -> Self {
         assert!(!clean.is_empty(), "calibration needs clean images");
         let layers = validator.num_validated_layers();
         let mut per_layer: Vec<Vec<f32>> = vec![Vec::with_capacity(clean.len()); layers];
-        for img in clean {
-            let report = validator.discrepancy(net, img);
+        for report in validator.discrepancies_with_plan(plan, clean) {
             for (bucket, &d) in per_layer.iter_mut().zip(&report.per_layer) {
                 bucket.push(d);
             }
@@ -74,18 +75,6 @@ impl JointCalibration {
             per_layer: z,
             joint,
         }
-    }
-}
-
-impl DeepValidator {
-    /// Convenience: Algorithm 2 followed by calibrated re-weighting.
-    pub fn discrepancy_calibrated(
-        &self,
-        net: &mut Network,
-        image: &Tensor,
-        calibration: &JointCalibration,
-    ) -> DiscrepancyReport {
-        calibration.apply(&self.discrepancy(net, image))
     }
 }
 

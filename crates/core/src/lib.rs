@@ -9,7 +9,7 @@
 //!    hidden representation of every monitored layer, and fit one
 //!    one-class SVM per `(layer, class)` pair — `SVM(i, k)` models the
 //!    region where class-`k` training images concentrate in layer `i`.
-//! 2. **Algorithm 2** ([`DeepValidator::discrepancy`]): at inference time,
+//! 2. **Algorithm 2** ([`DeepValidator::score`]): at inference time,
 //!    read the model's predicted label `y'`, compute each layer's
 //!    discrepancy `d_i = -t_i^{y'}(f_i(x))` (the negated signed distance
 //!    to `SVM(i, y')`'s hyperplane), and sum them into the joint
@@ -23,17 +23,19 @@
 //! # Examples
 //!
 //! ```no_run
-//! use dv_core::{DeepValidator, ValidatorConfig};
+//! use dv_core::{DeepValidator, ScoreWorkspace, ValidatorConfig};
 //! use dv_nn::Network;
 //! use dv_tensor::Tensor;
 //!
 //! # fn get_network() -> Network { unimplemented!() }
 //! # fn get_data() -> (Vec<Tensor>, Vec<usize>) { unimplemented!() }
-//! let mut net = get_network();
+//! let net = get_network();
 //! let (images, labels) = get_data();
 //! let validator =
 //!     DeepValidator::fit(&net, &images, &labels, &ValidatorConfig::default()).unwrap();
-//! let report = validator.discrepancy(&mut net, &images[0]);
+//! let plan = net.plan();
+//! let mut sw = ScoreWorkspace::new();
+//! let report = validator.score(&plan, &images[0], &mut sw).unwrap();
 //! println!("joint discrepancy: {}", report.joint);
 //! ```
 

@@ -6,8 +6,6 @@
 //! small spatial grid first (DESIGN.md §4.3). Fully connected
 //! representations pass through unchanged.
 
-use dv_tensor::Tensor;
-
 /// Reduces a single hidden representation to the feature vector the
 /// one-class SVMs consume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,28 +30,19 @@ impl FeatureReducer {
         self.max_spatial
     }
 
-    /// Reduces one representation (no batch axis).
+    /// Reduces one representation (no batch axis) of shape `dims`, held
+    /// row-major in `data`, into `out`:
     ///
-    /// - rank-1 `[D]`: returned as-is,
+    /// - rank-1 `[D]`: copied as-is,
     /// - rank-3 `[C, H, W]`: adaptive average pooling to
     ///   `[C, min(H, s), min(W, s)]`, flattened.
     ///
-    /// # Panics
-    ///
-    /// Panics on other ranks.
-    pub fn reduce(&self, rep: &Tensor) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.reduce_into(rep.shape().dims(), rep.data(), &mut out);
-        out
-    }
-
-    /// [`reduce`](FeatureReducer::reduce) into a reused buffer: `out` is
-    /// cleared and refilled, so a warmed-up buffer makes the reduction
-    /// allocation-free. Same loops, bit-identical values.
+    /// `out` is cleared and refilled, so a warmed-up buffer makes the
+    /// reduction allocation-free.
     ///
     /// # Panics
     ///
-    /// Panics on unsupported ranks or a dims/data length mismatch.
+    /// Panics on other ranks or a dims/data length mismatch.
     pub fn reduce_into(&self, dims: &[usize], data: &[f32], out: &mut Vec<f32>) {
         assert_eq!(
             data.len(),
@@ -109,12 +98,20 @@ impl FeatureReducer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dv_tensor::Tensor;
+
+    /// Reduces `t` into a fresh vector.
+    fn reduce(r: &FeatureReducer, t: &Tensor) -> Vec<f32> {
+        let mut out = Vec::new();
+        r.reduce_into(t.shape().dims(), t.data(), &mut out);
+        out
+    }
 
     #[test]
     fn rank_one_passes_through() {
         let r = FeatureReducer::new(4);
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]);
-        assert_eq!(r.reduce(&t), vec![1.0, 2.0, 3.0]);
+        assert_eq!(reduce(&r, &t), vec![1.0, 2.0, 3.0]);
         assert_eq!(r.reduced_dim(&[3]), 3);
     }
 
@@ -122,7 +119,7 @@ mod tests {
     fn small_conv_maps_pass_through() {
         let r = FeatureReducer::new(4);
         let t = Tensor::from_vec((0..8).map(|v| v as f32).collect(), &[2, 2, 2]);
-        assert_eq!(r.reduce(&t), t.data().to_vec());
+        assert_eq!(reduce(&r, &t), t.data().to_vec());
     }
 
     #[test]
@@ -130,14 +127,14 @@ mod tests {
         let r = FeatureReducer::new(1);
         // One channel, 2x2: pooled to a single mean.
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 2, 2]);
-        assert_eq!(r.reduce(&t), vec![2.5]);
+        assert_eq!(reduce(&r, &t), vec![2.5]);
     }
 
     #[test]
     fn pooling_preserves_total_mean() {
         let r = FeatureReducer::new(2);
         let t = Tensor::from_vec((0..16).map(|v| v as f32).collect(), &[1, 4, 4]);
-        let reduced = r.reduce(&t);
+        let reduced = reduce(&r, &t);
         assert_eq!(reduced.len(), 4);
         let mean: f32 = reduced.iter().sum::<f32>() / 4.0;
         assert!((mean - t.mean()).abs() < 1e-5);
@@ -148,7 +145,7 @@ mod tests {
         let r = FeatureReducer::new(2);
         // 5x3 map pooled to 2x2: all input pixels must contribute.
         let t = Tensor::ones(&[1, 5, 3]);
-        let reduced = r.reduce(&t);
+        let reduced = reduce(&r, &t);
         assert_eq!(reduced.len(), 4);
         for v in reduced {
             assert!((v - 1.0).abs() < 1e-6);
@@ -160,13 +157,13 @@ mod tests {
         let r = FeatureReducer::new(3);
         for dims in [vec![7usize], vec![4, 9, 6], vec![2, 2, 2]] {
             let t = Tensor::ones(&dims);
-            assert_eq!(r.reduce(&t).len(), r.reduced_dim(&dims));
+            assert_eq!(reduce(&r, &t).len(), r.reduced_dim(&dims));
         }
     }
 
     #[test]
     #[should_panic(expected = "rank-2")]
     fn rank_two_panics() {
-        let _ = FeatureReducer::new(2).reduce(&Tensor::ones(&[2, 2]));
+        let _ = reduce(&FeatureReducer::new(2), &Tensor::ones(&[2, 2]));
     }
 }

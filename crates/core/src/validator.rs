@@ -375,37 +375,9 @@ impl DeepValidator {
         })
     }
 
-    /// Algorithm 2: estimates the discrepancy of one `[C, H, W]` input
-    /// through the mutable training-path network.
-    ///
-    /// Only the validated probes are materialized
-    /// (`forward_probed_masked`). For the allocation-free serving path,
-    /// build a plan once and use [`score`](DeepValidator::score).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the image shape does not match the network input.
-    pub fn discrepancy(&self, net: &mut Network, image: &Tensor) -> DiscrepancyReport {
-        let x = Tensor::stack(std::slice::from_ref(image));
-        let (logits, probes) = net.forward_probed_masked(&x, &self.probe_indices);
-        let row = logits.row(0);
-        let predicted = row.argmax();
-        let confidence = dv_tensor::stats::softmax(&row).max();
-        // Joint scoring: the per-layer SVM evaluations are independent,
-        // so they fan out across the pool (order-preserving par_map; a
-        // single-thread pool maps inline sequentially).
-        let tapped: Vec<(usize, usize)> = self.probe_indices.iter().copied().enumerate().collect();
-        let per_layer = dv_runtime::par_map(&tapped, |&(t, p)| {
-            let rep = self.reducer.reduce(&probes[t].index_outer(0));
-            // Eq. 2: discrepancy is the negated signed distance.
-            -(self.svms_for_probe(p)[predicted].decision(&rep) as f32)
-        });
-        DiscrepancyReport::new(predicted, confidence, per_layer)
-    }
-
-    /// Algorithm 2 on the shared-immutable serving path: scores one
-    /// `[C, H, W]` image through `plan`, reusing `sw` for every scratch
-    /// buffer. Bit-identical to [`discrepancy`](DeepValidator::discrepancy).
+    /// Algorithm 2: scores one `[C, H, W]` image through `plan`, reusing
+    /// `sw` for every scratch buffer. Only the validated probes are
+    /// tapped.
     ///
     /// # Errors
     ///
@@ -625,19 +597,17 @@ impl DeepValidator {
         }
     }
 
-    /// Estimates discrepancies for many inputs through one shared
-    /// immutable plan compiled from `net`.
+    /// Algorithm 2 over many inputs through one shared immutable plan.
     ///
     /// Contiguous chunks of images run in parallel; every worker scores
     /// against the same `&InferencePlan` with its own [`ScoreWorkspace`]
     /// (nothing is cloned). Reports come back in input order and are
     /// bit-identical to the sequential loop at any thread count.
-    pub fn discrepancies(&self, net: &Network, images: &[Tensor]) -> Vec<DiscrepancyReport> {
-        self.discrepancies_with_plan(&net.plan(), images)
-    }
-
-    /// [`discrepancies`](DeepValidator::discrepancies) against an
-    /// already-compiled plan (build once, reuse across calls).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an image does not match the plan input or holds a
+    /// non-finite pixel.
     pub fn discrepancies_with_plan(
         &self,
         plan: &InferencePlan,
@@ -689,15 +659,6 @@ impl DeepValidator {
     /// Total number of fitted SVMs.
     pub fn num_svms(&self) -> usize {
         self.svms.iter().map(|l| l.len()).sum()
-    }
-
-    fn svms_for_probe(&self, probe: usize) -> &[OneClassSvm] {
-        let v = self
-            .probe_indices
-            .iter()
-            .position(|&p| p == probe)
-            .expect("probe not validated");
-        &self.svms[v]
     }
 
     /// Serializes the validator into named tensors (for on-disk caching
@@ -858,6 +819,12 @@ mod tests {
         net
     }
 
+    /// Algorithm 2 on one image with a fresh workspace.
+    fn score(v: &DeepValidator, plan: &InferencePlan, img: &Tensor) -> DiscrepancyReport {
+        v.score(plan, img, &mut ScoreWorkspace::new())
+            .expect("toy images are well-formed")
+    }
+
     fn trained_setup() -> (Network, Vec<Tensor>, Vec<usize>) {
         let mut rng = StdRng::seed_from_u64(0);
         let (images, labels) = toy_data(&mut rng, 120);
@@ -882,11 +849,12 @@ mod tests {
 
     #[test]
     fn clean_inputs_score_below_garbage_inputs() {
-        let (mut net, images, labels) = trained_setup();
+        let (net, images, labels) = trained_setup();
         let v = DeepValidator::fit(&net, &images, &labels, &ValidatorConfig::default()).unwrap();
+        let plan = net.plan();
         let clean: f32 = images[..20]
             .iter()
-            .map(|img| v.discrepancy(&mut net, img).joint)
+            .map(|img| score(&v, &plan, img).joint)
             .sum::<f32>()
             / 20.0;
         // Garbage: uniform noise, far from any training manifold.
@@ -894,7 +862,7 @@ mod tests {
         let noise: f32 = (0..20)
             .map(|_| {
                 let img = Tensor::rand_uniform(&mut rng, &[1, 12, 12], 0.0, 1.0);
-                v.discrepancy(&mut net, &img).joint
+                score(&v, &plan, &img).joint
             })
             .sum::<f32>()
             / 20.0;
@@ -906,7 +874,7 @@ mod tests {
 
     #[test]
     fn last_k_selection_validates_fewer_layers() {
-        let (mut net, images, labels) = trained_setup();
+        let (net, images, labels) = trained_setup();
         let cfg = ValidatorConfig {
             layers: LayerSelection::LastK(1),
             ..ValidatorConfig::default()
@@ -914,7 +882,7 @@ mod tests {
         let v = DeepValidator::fit(&net, &images, &labels, &cfg).unwrap();
         assert_eq!(v.num_validated_layers(), 1);
         assert_eq!(v.validated_probes(), &[1]);
-        let report = v.discrepancy(&mut net, &images[0]);
+        let report = score(&v, &net.plan(), &images[0]);
         assert_eq!(report.per_layer.len(), 1);
     }
 
@@ -922,8 +890,9 @@ mod tests {
     fn report_prediction_matches_network() {
         let (mut net, images, labels) = trained_setup();
         let v = DeepValidator::fit(&net, &images, &labels, &ValidatorConfig::default()).unwrap();
+        let plan = net.plan();
         for img in images.iter().take(5) {
-            let report = v.discrepancy(&mut net, img);
+            let report = score(&v, &plan, img);
             let (label, conf) = net.classify(&Tensor::stack(std::slice::from_ref(img)));
             assert_eq!(report.predicted, label);
             assert!((report.confidence - conf).abs() < 1e-6);
@@ -932,19 +901,43 @@ mod tests {
 
     #[test]
     fn named_tensor_round_trip_preserves_scores() {
-        let (mut net, images, labels) = trained_setup();
+        let (net, images, labels) = trained_setup();
         let v = DeepValidator::fit(&net, &images, &labels, &ValidatorConfig::default()).unwrap();
         let entries = v.to_named_tensors();
         let v2 = DeepValidator::from_named_tensors(&entries);
+        let plan = net.plan();
         for img in images.iter().take(5) {
-            let a = v.discrepancy(&mut net, img);
-            let b = v2.discrepancy(&mut net, img);
+            let a = score(&v, &plan, img);
+            let b = score(&v2, &plan, img);
             assert_eq!(a.predicted, b.predicted);
             assert!(
                 (a.joint - b.joint).abs() < 1e-4,
                 "joint {} vs {}",
                 a.joint,
                 b.joint
+            );
+        }
+    }
+
+    #[test]
+    fn streaming_softmax_matches_tensor_path() {
+        let rows = [
+            vec![0.3f32, -1.2, 2.5, 2.5],
+            vec![1.0f32, 4.0, 4.0, -2.0],
+            vec![0.0f32, 0.0],
+            vec![-7.0f32, -7.0, -7.0],
+            vec![80.0f32, -80.0, 79.5, 3.0],
+            vec![1e4f32, 9999.0, -1e4],
+            vec![-3.5f32, -0.25, -12.0, -0.25],
+        ];
+        for row in rows {
+            let t = Tensor::from_vec(row.clone(), &[row.len()]);
+            let probs = dv_tensor::stats::softmax(&t);
+            assert_eq!(argmax_row(&row), t.argmax(), "argmax of {row:?}");
+            assert_eq!(
+                softmax_max(&row).to_bits(),
+                probs.max().to_bits(),
+                "max softmax of {row:?}"
             );
         }
     }

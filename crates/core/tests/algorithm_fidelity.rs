@@ -1,10 +1,10 @@
 //! Fidelity tests for the two algorithms as the paper specifies them.
 
-use dv_core::{DeepValidator, LayerSelection, ValidatorConfig};
+use dv_core::{DeepValidator, DiscrepancyReport, LayerSelection, ScoreWorkspace, ValidatorConfig};
 use dv_nn::layers::{Dense, Flatten, Relu};
 use dv_nn::optim::Adam;
 use dv_nn::train::{fit, TrainConfig};
-use dv_nn::Network;
+use dv_nn::{InferencePlan, Network};
 use dv_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,6 +42,12 @@ fn setup() -> (Network, Vec<Tensor>, Vec<usize>) {
     (net, images, labels)
 }
 
+/// Algorithm 2 on one image through a compiled plan.
+fn score(v: &DeepValidator, plan: &InferencePlan, image: &Tensor) -> DiscrepancyReport {
+    v.score(plan, image, &mut ScoreWorkspace::new())
+        .expect("test images are well-formed")
+}
+
 #[test]
 fn algorithm1_filters_misclassified_training_images() {
     // Poison the labels of a block of images: Algorithm 1 line 2 keeps
@@ -49,7 +55,8 @@ fn algorithm1_filters_misclassified_training_images() {
     // poisoned block must not enter any reference distribution. We verify
     // indirectly: a validator fit on poisoned labels equals one fit on
     // the same data with the poisoned block removed.
-    let (mut net, images, labels) = setup();
+    let (net, images, labels) = setup();
+    let plan = net.plan();
 
     // Poison: give the first 20 images the wrong label. The trained model
     // still predicts their true class, so predicted != given -> dropped.
@@ -71,8 +78,8 @@ fn algorithm1_filters_misclassified_training_images() {
     let mut rng = StdRng::seed_from_u64(9);
     for _ in 0..10 {
         let probe = Tensor::rand_uniform(&mut rng, &[1, 5, 5], 0.0, 1.0);
-        let a = with_poison.discrepancy(&mut net, &probe);
-        let b = without_block.discrepancy(&mut net, &probe);
+        let a = score(&with_poison, &plan, &probe);
+        let b = score(&without_block, &plan, &probe);
         assert_eq!(a.predicted, b.predicted);
         for (x, y) in a.per_layer.iter().zip(&b.per_layer) {
             assert!(
@@ -92,16 +99,17 @@ fn algorithm2_indexes_svms_by_the_predicted_class() {
     // (correctly) predicts as 0 has low joint discrepancy, while an
     // ambiguous input landing between the classes scores higher no
     // matter which class it is assigned to.
-    let (mut net, images, labels) = setup();
+    let (net, images, labels) = setup();
+    let plan = net.plan();
     let validator =
         DeepValidator::fit(&net, &images, &labels, &ValidatorConfig::default()).unwrap();
 
-    let clean = validator.discrepancy(&mut net, &images[0]);
+    let clean = score(&validator, &plan, &images[0]);
     assert_eq!(clean.predicted, labels[0]);
 
     // Halfway between the two class levels: off both reference regions.
     let ambiguous = Tensor::full(&[1, 5, 5], 0.5);
-    let amb = validator.discrepancy(&mut net, &ambiguous);
+    let amb = score(&validator, &plan, &ambiguous);
     assert!(
         amb.joint > clean.joint,
         "ambiguous input {} not above clean {}",
@@ -112,14 +120,15 @@ fn algorithm2_indexes_svms_by_the_predicted_class() {
 
 #[test]
 fn per_layer_vector_length_tracks_layer_selection() {
-    let (mut net, images, labels) = setup();
+    let (net, images, labels) = setup();
+    let plan = net.plan();
     for (selection, expect) in [(LayerSelection::All, 2usize), (LayerSelection::LastK(1), 1)] {
         let config = ValidatorConfig {
             layers: selection,
             ..ValidatorConfig::default()
         };
         let v = DeepValidator::fit(&net, &images, &labels, &config).unwrap();
-        let report = v.discrepancy(&mut net, &images[0]);
+        let report = score(&v, &plan, &images[0]);
         assert_eq!(report.per_layer.len(), expect);
         assert_eq!(v.num_validated_layers(), expect);
     }
@@ -129,7 +138,8 @@ fn per_layer_vector_length_tracks_layer_selection() {
 fn max_per_class_caps_reference_set_sizes() {
     // A tighter cap must produce a different (coarser) ensemble but still
     // a working detector.
-    let (mut net, images, labels) = setup();
+    let (net, images, labels) = setup();
+    let plan = net.plan();
     let small = DeepValidator::fit(
         &net,
         &images,
@@ -144,8 +154,8 @@ fn max_per_class_caps_reference_set_sizes() {
     let garbage =
         Tensor::rand_uniform(&mut rng, &[1, 5, 5], 0.0, 1.0)
             .map(|v| if v > 0.5 { 1.0 } else { 0.0 });
-    let g = small.discrepancy(&mut net, &garbage);
-    let c = small.discrepancy(&mut net, &images[1]);
+    let g = score(&small, &plan, &garbage);
+    let c = score(&small, &plan, &images[1]);
     assert!(
         g.joint > c.joint,
         "capped validator lost all detection power"

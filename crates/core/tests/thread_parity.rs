@@ -48,13 +48,13 @@ fn setup() -> (Network, Vec<Tensor>, Vec<usize>) {
 #[test]
 fn validator_fit_and_scores_are_bit_identical_across_thread_counts() {
     let (net, images, labels) = setup();
+    let plan = net.plan();
     let run = |threads: usize| {
-        let net = net.clone();
         let pool = Pool::new(threads);
         pool.install(|| {
             let validator = DeepValidator::fit(&net, &images, &labels, &ValidatorConfig::default())
                 .expect("fit failed");
-            let reports = validator.discrepancies(&net, &images[..16]);
+            let reports = validator.discrepancies_with_plan(&plan, &images[..16]);
             (validator.num_svms(), reports)
         })
     };

@@ -53,29 +53,14 @@ impl BoundsDetector {
     /// `[0, 1]^D`.
     ///
     /// `taps` selects the validated probe indices (strictly ascending),
-    /// mirroring the joint validator's layer subset.
+    /// mirroring the joint validator's layer subset. Activations come from
+    /// `plan`, and the reachable set is computed over it.
     ///
     /// # Panics
     ///
     /// Panics if `images` is empty or lengths mismatch, if `taps` is
     /// empty or out of range, or if no image is correctly classified.
     pub fn fit(
-        net: &mut Network,
-        images: &[Tensor],
-        labels: &[usize],
-        taps: &[usize],
-        margin: f32,
-    ) -> Self {
-        let plan = net.plan();
-        Self::fit_with_plan(&plan, images, labels, taps, margin)
-    }
-
-    /// [`fit`](BoundsDetector::fit) against an already compiled plan.
-    ///
-    /// # Panics
-    ///
-    /// As [`fit`](BoundsDetector::fit).
-    pub fn fit_with_plan(
         plan: &InferencePlan,
         images: &[Tensor],
         labels: &[usize],
@@ -168,38 +153,6 @@ impl BoundsDetector {
     pub fn num_taps(&self) -> usize {
         self.taps.len()
     }
-
-    /// Score from a predicted label and per-tap activation slices (in
-    /// the order of the calibrated taps): sum over taps of the largest
-    /// normalized box-exit distance.
-    fn score_taps<'a, I>(&self, label: usize, acts: I) -> f32
-    where
-        I: Iterator<Item = &'a [f32]>,
-    {
-        let mut total = 0.0f32;
-        let mut seen = 0usize;
-        for (t, act) in acts.enumerate() {
-            seen += 1;
-            match &self.boxes[t][label] {
-                Some(b) => {
-                    let mut worst = 0.0f32;
-                    for (i, &v) in act.iter().enumerate() {
-                        let exit = (b.lo[i] - v).max(v - b.hi[i]);
-                        if exit > 0.0 {
-                            let e = exit * b.inv_width[i];
-                            if e > worst {
-                                worst = e;
-                            }
-                        }
-                    }
-                    total += worst;
-                }
-                None => total += MISSING_CLASS_SCORE,
-            }
-        }
-        assert_eq!(seen, self.taps.len(), "tap arity mismatch");
-        total
-    }
 }
 
 /// First-on-ties argmax over one logits row (the exact semantics of
@@ -219,14 +172,7 @@ impl Detector for BoundsDetector {
         "certified-bounds"
     }
 
-    fn score(&mut self, net: &mut Network, image: &Tensor) -> f32 {
-        let x = Tensor::stack(std::slice::from_ref(image));
-        let (logits, probes) = net.forward_probed_masked(&x, &self.taps);
-        let label = argmax_row(logits.data());
-        self.score_taps(label, probes.iter().map(|p| p.data()))
-    }
-
-    fn score_with_plan(
+    fn score(
         &mut self,
         _net: &mut Network,
         plan: &InferencePlan,
@@ -236,7 +182,27 @@ impl Detector for BoundsDetector {
         dv_trace::span!("bounds.score");
         let out = plan.forward_probed_into(image, &self.taps, ws);
         let label = argmax_row(out.logits());
-        self.score_taps(label, (0..self.taps.len()).map(|t| out.probe(t)))
+        // Sum over taps of the largest normalized box-exit distance.
+        let mut total = 0.0f32;
+        for (t, per_class) in self.boxes.iter().enumerate() {
+            match &per_class[label] {
+                Some(b) => {
+                    let mut worst = 0.0f32;
+                    for (i, &v) in out.probe(t).iter().enumerate() {
+                        let exit = (b.lo[i] - v).max(v - b.hi[i]);
+                        if exit > 0.0 {
+                            let e = exit * b.inv_width[i];
+                            if e > worst {
+                                worst = e;
+                            }
+                        }
+                    }
+                    total += worst;
+                }
+                None => total += MISSING_CLASS_SCORE,
+            }
+        }
+        total
     }
 }
 
@@ -277,33 +243,22 @@ mod tests {
     #[test]
     fn clean_scores_low_and_shifted_scores_high() {
         let (mut net, images, labels) = fixture();
-        let mut det = BoundsDetector::fit(&mut net, &images, &labels, &[0, 1], 0.1);
-        let clean = det.score(&mut net, &images[0]);
+        let plan = net.plan();
+        let mut ws = Workspace::new();
+        let mut det = BoundsDetector::fit(&plan, &images, &labels, &[0, 1], 0.1);
+        let clean = det.score(&mut net, &plan, &mut ws, &images[0]);
         // An extreme, out-of-envelope input must exit the boxes.
         let hot = Tensor::from_vec(vec![5.0f32; 36], &[1, 6, 6]);
-        let anomalous = det.score(&mut net, &hot);
+        let anomalous = det.score(&mut net, &plan, &mut ws, &hot);
         assert!(clean < anomalous, "clean {clean} vs anomalous {anomalous}");
         assert!(clean < 0.5, "calibration data stays near its own boxes");
     }
 
     #[test]
-    fn plan_and_network_paths_agree_bit_for_bit() {
-        let (mut net, images, labels) = fixture();
-        let mut det = BoundsDetector::fit(&mut net, &images, &labels, &[0, 1], 0.05);
-        let plan = net.plan();
-        let mut ws = Workspace::new();
-        for img in images.iter().take(8) {
-            let a = det.score(&mut net, img);
-            let b = det.score_with_plan(&mut net, &plan, &mut ws, img);
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "no correctly classified")]
     fn fit_rejects_all_wrong_labels() {
-        let (mut net, images, labels) = fixture();
+        let (net, images, labels) = fixture();
         let wrong: Vec<usize> = labels.iter().map(|&l| 1 - l).collect();
-        let _ = BoundsDetector::fit(&mut net, &images, &wrong, &[0, 1], 0.1);
+        let _ = BoundsDetector::fit(&net.plan(), &images, &wrong, &[0, 1], 0.1);
     }
 }

@@ -27,13 +27,7 @@ impl Detector for MaxConfidence {
         "max-confidence"
     }
 
-    fn score(&mut self, net: &mut Network, image: &Tensor) -> f32 {
-        let x = Tensor::stack(std::slice::from_ref(image));
-        let (_, confidence) = net.classify(&x);
-        1.0 - confidence
-    }
-
-    fn score_with_plan(
+    fn score(
         &mut self,
         _net: &mut Network,
         plan: &InferencePlan,
@@ -58,8 +52,9 @@ mod tests {
         let mut net = Network::new(&[1, 2, 2]);
         net.push(Flatten::new()).push(Dense::new(&mut rng, 4, 3));
         let img = Tensor::ones(&[1, 2, 2]);
+        let plan = net.plan();
         let mut d = MaxConfidence::new();
-        let score = d.score(&mut net, &img);
+        let score = d.score(&mut net, &plan, &mut Workspace::new(), &img);
         let (_, conf) = net.classify(&Tensor::stack(std::slice::from_ref(&img)));
         assert!((score - (1.0 - conf)).abs() < 1e-6);
         assert!((0.0..=1.0).contains(&score));

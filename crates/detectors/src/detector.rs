@@ -8,42 +8,27 @@ use dv_tensor::{Tensor, Workspace};
 /// `score` returns a real number where **higher means more anomalous**;
 /// evaluation is threshold-free (ROC-AUC), and operating points are chosen
 /// downstream from clean-data quantiles. Detectors take `&mut self`
-/// because scoring may reuse internal buffers, and `&mut Network` because
-/// inference mutates layer caches.
+/// because scoring may reuse internal buffers.
 ///
-/// Detectors whose scoring is a pure forward pass also override
-/// [`score_with_plan`](Detector::score_with_plan), which serves from a
-/// shared immutable [`InferencePlan`] and a reusable [`Workspace`]
-/// instead of mutating the network; the default falls back to
-/// [`score`](Detector::score). Both paths produce identical values.
+/// Every forward pass runs through `plan`, a shared immutable
+/// [`InferencePlan`] compiled from `net`, with scratch from a reusable
+/// [`Workspace`]. Only a detector that needs a gradient touches `net`
+/// (ODIN's input preprocessing runs a backward pass).
 pub trait Detector {
     /// Short name for tables, e.g. `"feature-squeezing"`.
     fn name(&self) -> &str;
 
     /// Anomaly score of one `[C, H, W]` image (higher = more anomalous).
-    fn score(&mut self, net: &mut Network, image: &Tensor) -> f32;
-
-    /// Scores a whole set (default: one-by-one).
-    fn score_all(&mut self, net: &mut Network, images: &[Tensor]) -> Vec<f32> {
-        images.iter().map(|img| self.score(net, img)).collect()
-    }
-
-    /// [`score`](Detector::score) against a compiled plan. `plan` must be
-    /// compiled from `net`; detectors that need the training path (e.g.
-    /// gradients) still receive `net` and may fall back to it.
-    fn score_with_plan(
+    fn score(
         &mut self,
         net: &mut Network,
         plan: &InferencePlan,
         ws: &mut Workspace,
         image: &Tensor,
-    ) -> f32 {
-        let _ = (plan, ws);
-        self.score(net, image)
-    }
+    ) -> f32;
 
-    /// Scores a whole set against a compiled plan, reusing one workspace.
-    fn score_all_with_plan(
+    /// Scores a whole set one by one, reusing one workspace.
+    fn score_all(
         &mut self,
         net: &mut Network,
         plan: &InferencePlan,
@@ -52,15 +37,15 @@ pub trait Detector {
         let mut ws = Workspace::new();
         images
             .iter()
-            .map(|img| self.score_with_plan(net, plan, &mut ws, img))
+            .map(|img| self.score(net, plan, &mut ws, img))
             .collect()
     }
 }
 
 /// Flattened activation of the plan's last probe point plus the predicted
-/// label, for a single image — the plan-path twin of the detectors'
-/// `last_hidden` helpers, bit-identical to them.
-pub(crate) fn last_hidden_plan(
+/// label, for a single image. Taps only the last probe, so no other
+/// activation is copied out.
+pub(crate) fn last_hidden(
     plan: &InferencePlan,
     ws: &mut Workspace,
     image: &Tensor,
@@ -92,7 +77,13 @@ mod tests {
         fn name(&self) -> &str {
             "const"
         }
-        fn score(&mut self, _net: &mut Network, _image: &Tensor) -> f32 {
+        fn score(
+            &mut self,
+            _net: &mut Network,
+            _plan: &InferencePlan,
+            _ws: &mut Workspace,
+            _image: &Tensor,
+        ) -> f32 {
             self.0
         }
     }
@@ -102,7 +93,8 @@ mod tests {
         let mut d = ConstDetector(0.5);
         let mut net = Network::new(&[1]);
         net.push(dv_nn::layers::Flatten::new());
+        let plan = net.plan();
         let imgs = vec![Tensor::zeros(&[1, 2, 2]); 3];
-        assert_eq!(d.score_all(&mut net, &imgs), vec![0.5, 0.5, 0.5]);
+        assert_eq!(d.score_all(&mut net, &plan, &imgs), vec![0.5, 0.5, 0.5]);
     }
 }

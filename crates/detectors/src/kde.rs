@@ -10,7 +10,7 @@ use dv_nn::{InferencePlan, Network};
 use dv_tensor::stats::log_sum_exp;
 use dv_tensor::{Tensor, Workspace};
 
-use crate::detector::{last_hidden_plan, Detector};
+use crate::detector::{last_hidden, Detector};
 
 /// Per-class Gaussian KDE over last-hidden-layer activations.
 #[derive(Debug, Clone)]
@@ -43,7 +43,7 @@ impl std::error::Error for KdeError {}
 
 impl KdeDetector {
     /// Fits per-class KDEs on the last probe point's activations of the
-    /// correctly classified training images.
+    /// correctly classified training images, run through `plan`.
     ///
     /// `bandwidth = None` selects the median heuristic: sigma is the
     /// median pairwise distance over a subsample of stored activations
@@ -55,7 +55,7 @@ impl KdeDetector {
     /// Returns [`KdeError`] on an empty/misaligned training set or a class
     /// with no correct samples.
     pub fn fit(
-        net: &mut Network,
+        plan: &InferencePlan,
         images: &[Tensor],
         labels: &[usize],
         max_per_class: usize,
@@ -66,11 +66,12 @@ impl KdeDetector {
         }
         let num_classes = labels.iter().max().copied().unwrap_or(0) + 1;
         let mut points = vec![Vec::new(); num_classes];
+        let mut ws = Workspace::new();
         for (img, &label) in images.iter().zip(labels) {
             if points[label].len() >= max_per_class {
                 continue;
             }
-            let (feat, predicted) = last_hidden(net, img);
+            let (feat, predicted) = last_hidden(plan, &mut ws, img);
             if predicted == label {
                 points[label].push(feat);
             }
@@ -117,37 +118,16 @@ impl Detector for KdeDetector {
         "kernel-density"
     }
 
-    fn score(&mut self, net: &mut Network, image: &Tensor) -> f32 {
-        let (feat, predicted) = last_hidden(net, image);
-        -(self.log_density(predicted, &feat) as f32)
-    }
-
-    fn score_with_plan(
+    fn score(
         &mut self,
         _net: &mut Network,
         plan: &InferencePlan,
         ws: &mut Workspace,
         image: &Tensor,
     ) -> f32 {
-        let (feat, predicted) = last_hidden_plan(plan, ws, image);
+        let (feat, predicted) = last_hidden(plan, ws, image);
         -(self.log_density(predicted, &feat) as f32)
     }
-}
-
-/// Flattened activation of the network's last probe point plus the
-/// predicted label, for a single image. Taps only the last probe so the
-/// untapped activations are never cloned.
-fn last_hidden(net: &mut Network, image: &Tensor) -> (Vec<f32>, usize) {
-    assert!(
-        net.num_probes() > 0,
-        "network must declare at least one probe point"
-    );
-    let x = Tensor::stack(std::slice::from_ref(image));
-    let (logits, probes) = net.forward_probed_masked(&x, &[net.num_probes() - 1]);
-    let last = probes
-        .last()
-        .expect("network must declare at least one probe point");
-    (last.index_outer(0).data().to_vec(), logits.row(0).argmax())
 }
 
 /// Median pairwise distance over a deterministic subsample of all stored
@@ -214,18 +194,20 @@ mod tests {
 
     #[test]
     fn fit_succeeds_and_picks_finite_bandwidth() {
-        let (mut net, images, labels) = setup();
-        let kde = KdeDetector::fit(&mut net, &images, &labels, 100, None).unwrap();
+        let (net, images, labels) = setup();
+        let kde = KdeDetector::fit(&net.plan(), &images, &labels, 100, None).unwrap();
         assert!(kde.bandwidth().is_finite() && kde.bandwidth() > 0.0);
     }
 
     #[test]
     fn training_points_score_lower_than_garbage() {
         let (mut net, images, labels) = setup();
-        let mut kde = KdeDetector::fit(&mut net, &images, &labels, 100, None).unwrap();
+        let plan = net.plan();
+        let mut ws = Workspace::new();
+        let mut kde = KdeDetector::fit(&plan, &images, &labels, 100, None).unwrap();
         let clean: f32 = images[..10]
             .iter()
-            .map(|img| kde.score(&mut net, img))
+            .map(|img| kde.score(&mut net, &plan, &mut ws, img))
             .sum::<f32>()
             / 10.0;
         let mut rng = StdRng::seed_from_u64(3);
@@ -239,7 +221,7 @@ mod tests {
                         0.0
                     }
                 });
-                kde.score(&mut net, &img)
+                kde.score(&mut net, &plan, &mut ws, &img)
             })
             .sum::<f32>()
             / 10.0;
@@ -248,16 +230,16 @@ mod tests {
 
     #[test]
     fn explicit_bandwidth_is_respected() {
-        let (mut net, images, labels) = setup();
-        let kde = KdeDetector::fit(&mut net, &images, &labels, 100, Some(0.7)).unwrap();
+        let (net, images, labels) = setup();
+        let kde = KdeDetector::fit(&net.plan(), &images, &labels, 100, Some(0.7)).unwrap();
         assert_eq!(kde.bandwidth(), 0.7);
     }
 
     #[test]
     fn empty_training_set_is_rejected() {
-        let (mut net, _, _) = setup();
+        let (net, _, _) = setup();
         assert_eq!(
-            KdeDetector::fit(&mut net, &[], &[], 10, None).unwrap_err(),
+            KdeDetector::fit(&net.plan(), &[], &[], 10, None).unwrap_err(),
             KdeError::BadTrainingSet
         );
     }

@@ -11,7 +11,7 @@ use dv_nn::{InferencePlan, Network};
 use dv_tensor::linalg::{cholesky, quad_form_inv, NotPositiveDefinite};
 use dv_tensor::{Tensor, Workspace};
 
-use crate::detector::{last_hidden_plan, Detector};
+use crate::detector::{last_hidden, Detector};
 
 /// Class-conditional Gaussian detector with tied covariance.
 #[derive(Debug, Clone)]
@@ -49,7 +49,8 @@ impl std::error::Error for MahalanobisError {}
 
 impl MahalanobisDetector {
     /// Fits class means and the tied covariance on the last probe
-    /// point's activations of the correctly classified training images.
+    /// point's activations of the correctly classified training images,
+    /// run through `plan`.
     ///
     /// `shrinkage` is added to the covariance diagonal (as a fraction of
     /// the mean diagonal value) to keep it invertible; `0.01` is a solid
@@ -60,7 +61,7 @@ impl MahalanobisDetector {
     /// Returns [`MahalanobisError`] on bad training data or a covariance
     /// that stays singular.
     pub fn fit(
-        net: &mut Network,
+        plan: &InferencePlan,
         images: &[Tensor],
         labels: &[usize],
         max_per_class: usize,
@@ -71,11 +72,12 @@ impl MahalanobisDetector {
         }
         let num_classes = labels.iter().max().copied().unwrap_or(0) + 1;
         let mut feats: Vec<Vec<Vec<f32>>> = vec![Vec::new(); num_classes];
+        let mut ws = Workspace::new();
         for (img, &label) in images.iter().zip(labels) {
             if feats[label].len() >= max_per_class {
                 continue;
             }
-            let (feat, predicted) = last_hidden(net, img);
+            let (feat, predicted) = last_hidden(plan, &mut ws, img);
             if predicted == label {
                 feats[label].push(feat);
             }
@@ -158,39 +160,18 @@ impl Detector for MahalanobisDetector {
         "mahalanobis"
     }
 
-    fn score(&mut self, net: &mut Network, image: &Tensor) -> f32 {
-        let (feat, _) = last_hidden(net, image);
-        self.min_distance(&feat)
-    }
-
-    fn score_with_plan(
+    fn score(
         &mut self,
         _net: &mut Network,
         plan: &InferencePlan,
         ws: &mut Workspace,
         image: &Tensor,
     ) -> f32 {
-        let (feat, _) = last_hidden_plan(plan, ws, image);
-        self.min_distance(&feat)
-    }
-}
-
-impl MahalanobisDetector {
-    fn min_distance(&self, feat: &[f32]) -> f32 {
+        let (feat, _) = last_hidden(plan, ws, image);
         (0..self.means.len())
-            .map(|k| self.distance_sq(k, feat))
+            .map(|k| self.distance_sq(k, &feat))
             .fold(f64::INFINITY, f64::min) as f32
     }
-}
-
-/// Flattened last-probe activation plus the predicted label. Taps only
-/// the last probe so the untapped activations are never cloned.
-fn last_hidden(net: &mut Network, image: &Tensor) -> (Vec<f32>, usize) {
-    assert!(net.num_probes() > 0, "network declares no probe points");
-    let x = Tensor::stack(std::slice::from_ref(image));
-    let (logits, probes) = net.forward_probed_masked(&x, &[net.num_probes() - 1]);
-    let last = probes.last().expect("network declares no probe points");
-    (last.index_outer(0).data().to_vec(), logits.row(0).argmax())
 }
 
 #[cfg(test)]
@@ -233,18 +214,20 @@ mod tests {
 
     #[test]
     fn fit_succeeds_on_trained_model() {
-        let (mut net, images, labels) = setup();
-        let d = MahalanobisDetector::fit(&mut net, &images, &labels, 100, 0.01).unwrap();
+        let (net, images, labels) = setup();
+        let d = MahalanobisDetector::fit(&net.plan(), &images, &labels, 100, 0.01).unwrap();
         assert_eq!(d.num_classes(), 2);
     }
 
     #[test]
     fn in_distribution_scores_below_garbage() {
         let (mut net, images, labels) = setup();
-        let mut d = MahalanobisDetector::fit(&mut net, &images, &labels, 100, 0.01).unwrap();
+        let plan = net.plan();
+        let mut ws = Workspace::new();
+        let mut d = MahalanobisDetector::fit(&plan, &images, &labels, 100, 0.01).unwrap();
         let clean: f32 = images[..10]
             .iter()
-            .map(|img| d.score(&mut net, img))
+            .map(|img| d.score(&mut net, &plan, &mut ws, img))
             .sum::<f32>()
             / 10.0;
         let mut rng = StdRng::seed_from_u64(9);
@@ -257,7 +240,7 @@ mod tests {
                         0.0
                     }
                 });
-                d.score(&mut net, &img)
+                d.score(&mut net, &plan, &mut ws, &img)
             })
             .sum::<f32>()
             / 10.0;
@@ -267,17 +250,19 @@ mod tests {
     #[test]
     fn scores_are_non_negative() {
         let (mut net, images, labels) = setup();
-        let mut d = MahalanobisDetector::fit(&mut net, &images, &labels, 100, 0.01).unwrap();
+        let plan = net.plan();
+        let mut ws = Workspace::new();
+        let mut d = MahalanobisDetector::fit(&plan, &images, &labels, 100, 0.01).unwrap();
         for img in images.iter().take(10) {
-            assert!(d.score(&mut net, img) >= 0.0);
+            assert!(d.score(&mut net, &plan, &mut ws, img) >= 0.0);
         }
     }
 
     #[test]
     fn empty_training_set_is_rejected() {
-        let (mut net, _, _) = setup();
+        let (net, _, _) = setup();
         assert_eq!(
-            MahalanobisDetector::fit(&mut net, &[], &[], 10, 0.01).unwrap_err(),
+            MahalanobisDetector::fit(&net.plan(), &[], &[], 10, 0.01).unwrap_err(),
             MahalanobisError::BadTrainingSet
         );
     }

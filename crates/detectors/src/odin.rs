@@ -91,25 +91,15 @@ impl Detector for OdinDetector {
         "odin"
     }
 
-    fn score(&mut self, net: &mut Network, image: &Tensor) -> f32 {
-        let perturbed = self.preprocess(net, image);
-
-        // Pass 2: final score on the preprocessed input.
-        let xp = Tensor::stack(std::slice::from_ref(&perturbed));
-        let logits = net.forward(&xp, false);
-        let probs = softmax(&logits.row(0).scale(1.0 / self.temperature));
-        1.0 - probs.max()
-    }
-
-    fn score_with_plan(
+    fn score(
         &mut self,
         net: &mut Network,
         plan: &InferencePlan,
         ws: &mut Workspace,
         image: &Tensor,
     ) -> f32 {
-        // Preprocessing still runs through the mutable network (it needs
-        // the backward pass); only the final forward is served by the plan.
+        // Preprocessing runs through the network (it needs the backward
+        // pass); the final score is served by the plan.
         let perturbed = self.preprocess(net, image);
         let logits = plan.forward(&perturbed, ws);
         let probs = softmax(&logits.row(0).scale(1.0 / self.temperature));
@@ -158,9 +148,11 @@ mod tests {
     #[test]
     fn scores_stay_in_unit_interval() {
         let (mut net, images, _) = setup();
+        let plan = net.plan();
+        let mut ws = Workspace::new();
         let mut d = OdinDetector::defaults();
         for img in images.iter().take(10) {
-            let s = d.score(&mut net, img);
+            let s = d.score(&mut net, &plan, &mut ws, img);
             assert!((0.0..=1.0).contains(&s), "score {s}");
         }
     }
@@ -168,16 +160,18 @@ mod tests {
     #[test]
     fn in_distribution_scores_below_boundary_inputs() {
         let (mut net, images, _) = setup();
+        let plan = net.plan();
+        let mut ws = Workspace::new();
         let mut d = OdinDetector::defaults();
         let clean: f32 = images[..15]
             .iter()
-            .map(|img| d.score(&mut net, img))
+            .map(|img| d.score(&mut net, &plan, &mut ws, img))
             .sum::<f32>()
             / 15.0;
         // An input exactly between the two training blobs is maximally
         // ambiguous — ODIN must score it higher than the blobs.
         let boundary = Tensor::full(&[1, 4, 4], 0.5);
-        let boundary_score = d.score(&mut net, &boundary);
+        let boundary_score = d.score(&mut net, &plan, &mut ws, &boundary);
         assert!(
             boundary_score > clean,
             "boundary {boundary_score} not above clean {clean}"
@@ -187,12 +181,14 @@ mod tests {
     #[test]
     fn zero_epsilon_skips_preprocessing() {
         let (mut net, images, _) = setup();
+        let plan = net.plan();
+        let mut ws = Workspace::new();
         let mut with = OdinDetector::new(1000.0, 0.002);
         let mut without = OdinDetector::new(1000.0, 0.0);
         // Both must run; preprocessing generally lowers the score of
         // in-distribution inputs (higher confidence after the nudge).
-        let s_with = with.score(&mut net, &images[0]);
-        let s_without = without.score(&mut net, &images[0]);
+        let s_with = with.score(&mut net, &plan, &mut ws, &images[0]);
+        let s_without = without.score(&mut net, &plan, &mut ws, &images[0]);
         assert!(s_with.is_finite() && s_without.is_finite());
         assert!(s_with <= s_without + 1e-4);
     }

@@ -131,20 +131,7 @@ impl Detector for FeatureSqueezing {
         "feature-squeezing"
     }
 
-    fn score(&mut self, net: &mut Network, image: &Tensor) -> f32 {
-        let x = Tensor::stack(std::slice::from_ref(image));
-        let base = net.predict(&x).row(0);
-        let mut best = 0.0f32;
-        for squeezer in &self.squeezers {
-            let squeezed = squeezer.apply(image);
-            let xs = Tensor::stack(std::slice::from_ref(&squeezed));
-            let p = net.predict(&xs).row(0);
-            best = best.max(base.sub(&p).norm_l1());
-        }
-        best
-    }
-
-    fn score_with_plan(
+    fn score(
         &mut self,
         _net: &mut Network,
         plan: &InferencePlan,
@@ -220,8 +207,14 @@ mod tests {
             .push(Dense::new(&mut rng, 16, 8))
             .push_probe(Relu::new())
             .push(Dense::new(&mut rng, 8, 3));
+        let plan = net.plan();
         let mut fs = FeatureSqueezing::mnist_default();
-        let score = fs.score(&mut net, &Tensor::zeros(&[1, 4, 4]));
+        let score = fs.score(
+            &mut net,
+            &plan,
+            &mut Workspace::new(),
+            &Tensor::zeros(&[1, 4, 4]),
+        );
         assert!(score.abs() < 1e-5, "score {score} not ~0");
     }
 
@@ -233,10 +226,12 @@ mod tests {
             .push(Dense::new(&mut rng, 16, 8))
             .push_probe(Relu::new())
             .push(Dense::new(&mut rng, 8, 3));
+        let plan = net.plan();
+        let mut ws = Workspace::new();
         let mut fs = FeatureSqueezing::mnist_default();
-        let flat = fs.score(&mut net, &Tensor::full(&[1, 4, 4], 0.0));
+        let flat = fs.score(&mut net, &plan, &mut ws, &Tensor::full(&[1, 4, 4], 0.0));
         let noisy_img = Tensor::rand_uniform(&mut rng, &[1, 4, 4], 0.3, 0.7);
-        let noisy = fs.score(&mut net, &noisy_img);
+        let noisy = fs.score(&mut net, &plan, &mut ws, &noisy_img);
         assert!(noisy >= flat);
     }
 

@@ -8,7 +8,7 @@
 //! true positives in the main tables.
 
 use dv_imgops::TransformKind;
-use dv_nn::{InferencePlan, Network};
+use dv_nn::InferencePlan;
 use dv_tensor::{Tensor, Workspace};
 
 /// One synthesized corner case.
@@ -45,21 +45,8 @@ impl EvaluationSet {
         self.clean.extend(images);
     }
 
-    /// Classifies and adds transformed images of one kind, recording the
-    /// SCC/FCC flag per image.
-    pub fn extend_corner(
-        &mut self,
-        net: &Network,
-        kind: TransformKind,
-        images: impl IntoIterator<Item = (Tensor, usize)>,
-    ) {
-        let plan = net.plan();
-        let mut ws = Workspace::new();
-        self.extend_corner_with_plan(&plan, &mut ws, kind, images);
-    }
-
-    /// [`extend_corner`](EvaluationSet::extend_corner) against an
-    /// already-compiled plan, reusing `ws` across images.
+    /// Classifies transformed images of one kind through `plan`, reusing
+    /// `ws` across images, and adds them with their SCC/FCC flag.
     pub fn extend_corner_with_plan(
         &mut self,
         plan: &InferencePlan,
@@ -109,6 +96,7 @@ impl EvaluationSet {
 mod tests {
     use super::*;
     use dv_nn::layers::{Dense, Flatten};
+    use dv_nn::Network;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -127,8 +115,9 @@ mod tests {
         let (pred, _) = net.classify(&Tensor::stack(std::slice::from_ref(&img)));
         // One labeled with the predicted class (FCC), one with the other
         // class (SCC).
-        set.extend_corner(
-            &net,
+        set.extend_corner_with_plan(
+            &net.plan(),
+            &mut Workspace::new(),
             TransformKind::Rotation,
             vec![(img.clone(), pred), (img, 1 - pred)],
         );
@@ -140,11 +129,12 @@ mod tests {
 
     #[test]
     fn kinds_reports_present_kinds_in_order() {
-        let net = tiny_net();
+        let plan = tiny_net().plan();
+        let mut ws = Workspace::new();
         let mut set = EvaluationSet::new();
         let img = Tensor::ones(&[1, 2, 2]);
-        set.extend_corner(&net, TransformKind::Scale, vec![(img.clone(), 0)]);
-        set.extend_corner(&net, TransformKind::Brightness, vec![(img, 0)]);
+        set.extend_corner_with_plan(&plan, &mut ws, TransformKind::Scale, vec![(img.clone(), 0)]);
+        set.extend_corner_with_plan(&plan, &mut ws, TransformKind::Brightness, vec![(img, 0)]);
         assert_eq!(
             set.kinds(),
             vec![TransformKind::Brightness, TransformKind::Scale]

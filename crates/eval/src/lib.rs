@@ -31,5 +31,5 @@ pub mod table;
 pub use auc::{centroid_threshold, detection_rate, roc_auc, threshold_at_fpr};
 pub use evalset::{CornerCase, EvaluationSet};
 pub use pr::{average_precision, pr_curve, PrPoint};
-pub use pruned::{pruned_grid_search, pruned_grid_search_with_plan, PruneStats};
-pub use search::{grid_search, SearchOutcome, SearchSpace};
+pub use pruned::{pruned_grid_search_with_plan, PruneStats};
+pub use search::{grid_search_with_plan, SearchOutcome, SearchSpace};

@@ -25,7 +25,7 @@
 //! are evaluated in the same order with the same arithmetic.
 
 use dv_imgops::{brightness_interval, complement_interval, contrast_interval, PixelBox, Transform};
-use dv_nn::{InferencePlan, Network};
+use dv_nn::InferencePlan;
 use dv_tensor::{Tensor, Workspace};
 
 use crate::search::{SearchOutcome, SearchSpace};
@@ -96,20 +96,6 @@ fn ordered(a: f32, b: f32) -> (f32, f32) {
     } else {
         (b, a)
     }
-}
-
-/// [`pruned_grid_search_with_plan`] from a mutable network, compiling
-/// the plan once.
-pub fn pruned_grid_search(
-    net: &Network,
-    seeds: &[Tensor],
-    seed_labels: &[usize],
-    space: &SearchSpace,
-    target_rate: f32,
-    min_rate: f32,
-) -> (SearchOutcome, PruneStats) {
-    let plan = net.plan();
-    pruned_grid_search_with_plan(&plan, seeds, seed_labels, space, target_rate, min_rate)
 }
 
 /// Grid search with certified cell pruning.
@@ -236,6 +222,7 @@ mod tests {
     use dv_nn::layers::{Dense, Flatten, Relu};
     use dv_nn::optim::Adam;
     use dv_nn::train::{fit, TrainConfig};
+    use dv_nn::Network;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

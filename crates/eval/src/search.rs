@@ -8,7 +8,7 @@
 //! minimum (~30%) are discarded, reproducing the `-` cells of Table V.
 
 use dv_imgops::{Transform, TransformKind};
-use dv_nn::{InferencePlan, Network};
+use dv_nn::InferencePlan;
 use dv_tensor::{Tensor, Workspace};
 
 /// An ordered parameter grid for one transformation, weakest first.
@@ -150,32 +150,20 @@ pub struct SearchOutcome {
     pub mean_confidence: f32,
 }
 
-/// Runs the paper's grid search for one transformation.
+/// Runs the paper's grid search for one transformation, classifying
+/// through `plan`.
 ///
 /// `seeds` must be correctly classified clean images with ground-truth
 /// `seed_labels`. The search walks `space` weakest-first and stops at the
 /// first step whose success rate is at least `target_rate` (the paper
 /// stops "when it obtains a success rate of about 60%"); if the grid ends
-/// below `min_rate` the transformation is discarded.
+/// below `min_rate` the transformation is discarded. The plan is shared
+/// immutably, so concurrent searches (one per transformation family)
+/// need no network clones.
 ///
 /// # Panics
 ///
 /// Panics if `seeds` is empty or misaligned with `seed_labels`.
-pub fn grid_search(
-    net: &Network,
-    seeds: &[Tensor],
-    seed_labels: &[usize],
-    space: &SearchSpace,
-    target_rate: f32,
-    min_rate: f32,
-) -> SearchOutcome {
-    let plan = net.plan();
-    grid_search_with_plan(&plan, seeds, seed_labels, space, target_rate, min_rate)
-}
-
-/// [`grid_search`] against an already-compiled plan, so concurrent
-/// searches (one per transformation family) can share one immutable plan
-/// instead of cloning the network.
 pub fn grid_search_with_plan(
     plan: &InferencePlan,
     seeds: &[Tensor],
@@ -217,15 +205,9 @@ pub fn grid_search_with_plan(
 }
 
 /// Success rate (`1 - accuracy`) and mean confidence on misclassified
-/// images for a transformed seed set.
-pub fn success_rate(net: &Network, images: &[Tensor], labels: &[usize]) -> (f32, f32) {
-    let plan = net.plan();
-    let mut ws = Workspace::new();
-    success_rate_with_plan(&plan, &mut ws, images, labels)
-}
-
-/// [`success_rate`] against an already-compiled plan, reusing `ws` so
-/// repeated sweeps (e.g. a grid walk) allocate nothing per image.
+/// images for a transformed seed set, classified through `plan` with
+/// scratch from `ws`, so repeated sweeps (e.g. a grid walk) allocate
+/// nothing per image.
 pub fn success_rate_with_plan(
     plan: &InferencePlan,
     ws: &mut Workspace,
@@ -256,6 +238,7 @@ mod tests {
     use dv_nn::layers::{Dense, Flatten, Relu};
     use dv_nn::optim::Adam;
     use dv_nn::train::{fit, TrainConfig};
+    use dv_nn::Network;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -325,8 +308,8 @@ mod tests {
             }
         }
         assert!(seeds.len() >= 10);
-        let outcome = grid_search(
-            &net,
+        let outcome = grid_search_with_plan(
+            &net.plan(),
             &seeds,
             &seed_labels,
             &SearchSpace::brightness(),
@@ -354,8 +337,8 @@ mod tests {
                 seed_labels.push(l);
             }
         }
-        let outcome = grid_search(
-            &net,
+        let outcome = grid_search_with_plan(
+            &net.plan(),
             &seeds,
             &seed_labels,
             &SearchSpace::brightness(),
@@ -380,7 +363,7 @@ mod tests {
             TransformKind::Translation,
             vec![Transform::Translation { tx: 0.25, ty: 0.0 }],
         );
-        let outcome = grid_search(&net, &seeds, &seed_labels, &space, 0.6, 0.3);
+        let outcome = grid_search_with_plan(&net.plan(), &seeds, &seed_labels, &space, 0.6, 0.3);
         assert!(outcome.chosen.is_none(), "tiny translation should fail");
         assert!(outcome.success_rate < 0.3);
     }
@@ -396,7 +379,8 @@ mod tests {
                 seed_labels.push(l);
             }
         }
-        let (rate, conf) = success_rate(&net, &seeds, &seed_labels);
+        let (rate, conf) =
+            success_rate_with_plan(&net.plan(), &mut Workspace::new(), &seeds, &seed_labels);
         assert_eq!(rate, 0.0);
         assert_eq!(conf, 0.0);
     }

@@ -19,8 +19,8 @@ use crate::plan::PlanOp;
 /// Layers are used strictly sequentially: `backward` may only be called
 /// after a `forward` with the same batch. `Send + Sync` lets whole
 /// networks cross thread boundaries; concurrent inference goes through
-/// [`clone_box`](Layer::clone_box)d copies (one per worker), never through
-/// shared `&mut` state.
+/// one shared [`InferencePlan`](crate::InferencePlan) compiled by
+/// [`plan_op`](Layer::plan_op), never through shared `&mut` state.
 pub trait Layer: Send + Sync {
     /// Computes the layer output for a batch.
     ///
@@ -66,11 +66,6 @@ pub trait Layer: Send + Sync {
     /// Implementations may panic if the name is unknown or the shape
     /// differs from the existing parameter.
     fn load_param(&mut self, name: &str, value: Tensor);
-
-    /// Deep copy behind the trait object, so [`Network`](crate::Network)
-    /// can be cloned for data-parallel inference. Typically implemented as
-    /// `Box::new(self.clone())`.
-    fn clone_box(&self) -> Box<dyn Layer>;
 
     /// Compiles this layer's inference-time behaviour into an immutable
     /// [`PlanOp`], reserving any workspace scratch slots it needs from

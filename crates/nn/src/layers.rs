@@ -85,10 +85,6 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
         let n = input.shape().dim(0);
         let geom = self.geom_for(&input.shape().dims()[1..]);
@@ -255,10 +251,6 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
         let (n, d) = batch_dims(input);
         assert_eq!(
@@ -361,10 +353,6 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
         self.cached_mask = Some(input.map(|x| if x > 0.0 { 1.0 } else { 0.0 }));
         input.map(|x| x.max(0.0))
@@ -421,10 +409,6 @@ impl MaxPool2 {
 }
 
 impl Layer for MaxPool2 {
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
         let dims = input.shape().dims();
         assert_eq!(dims.len(), 4, "maxpool expects [N, C, H, W]");
@@ -515,10 +499,6 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
         let (n, d) = batch_dims(input);
         self.cached_dims = Some(input.shape().dims().to_vec());

@@ -44,10 +44,6 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         // dv-lint: allow(float-eq, reason = "p is a user-set constant; exactly 0.0 means dropout disabled")
         if !train || self.p == 0.0 {
@@ -146,10 +142,6 @@ impl BatchNorm2d {
 }
 
 impl Layer for BatchNorm2d {
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
     // Channel statistics walk several parallel per-channel buffers at
     // once; index loops are the clear formulation here.
     #[allow(clippy::needless_range_loop)]
@@ -425,10 +417,6 @@ impl DenseBlock {
 }
 
 impl Layer for DenseBlock {
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let mut state = input.clone();
         self.cached_stage_inputs.clear();

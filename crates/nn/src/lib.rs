@@ -10,10 +10,12 @@
 //!   `dv-attacks`),
 //! - concrete layers: [`layers::Conv2d`], [`layers::Dense`],
 //!   [`layers::Relu`], [`layers::MaxPool2`], [`layers::Flatten`],
-//! - [`network::Network`]: a sequential container whose
-//!   [`forward_probed`](network::Network::forward_probed) returns the hidden
-//!   representation at every probe point — the hook Deep Validation
-//!   consumes,
+//! - [`network::Network`]: a sequential container that trains and
+//!   compiles, via [`plan`](network::Network::plan), into
+//! - [`plan::InferencePlan`]: the one inference path, whose
+//!   [`forward_probed_into`](plan::InferencePlan::forward_probed_into)
+//!   returns the hidden representation at every tapped probe point — the
+//!   hook Deep Validation consumes,
 //! - [`loss`]: softmax cross-entropy,
 //! - [`optim`]: SGD with momentum, **Adadelta** (the paper's optimizer) and
 //!   Adam,
@@ -26,17 +28,19 @@
 //! ```
 //! use dv_nn::network::Network;
 //! use dv_nn::layers::{Dense, Relu};
-//! use dv_tensor::Tensor;
+//! use dv_tensor::{Tensor, Workspace};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(0);
 //! let mut net = Network::new(&[4]);
 //! net.push(Dense::new(&mut rng, 4, 8)).push_probe(Relu::new());
 //! net.push(Dense::new(&mut rng, 8, 3));
+//! let plan = net.plan();
+//! let mut ws = Workspace::new();
 //! let x = Tensor::zeros(&[1, 4]);
-//! let (logits, probes) = net.forward_probed(&x);
-//! assert_eq!(logits.shape().dims(), &[1, 3]);
-//! assert_eq!(probes.len(), 1); // one probe point: the ReLU output
+//! let out = plan.forward_probed_into(&x, &[0], &mut ws);
+//! assert_eq!(out.logits().len(), 3);
+//! assert_eq!(out.probe(0).len(), 8); // one probe point: the ReLU output
 //! ```
 
 #![forbid(unsafe_code)]

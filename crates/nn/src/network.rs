@@ -1,8 +1,11 @@
 //! Sequential network container with per-layer probes.
 //!
-//! [`Network::forward_probed`] is the hook the Deep Validation framework
-//! (Fig. 1 of the paper) attaches to: it returns the hidden representation
-//! `f_i(x)` at every declared probe point alongside the final logits.
+//! A [`Network`] trains (`forward`/`backward`); inference compiles it once
+//! into an [`InferencePlan`] with [`Network::plan`]. The plan's
+//! [`forward_probed_into`](InferencePlan::forward_probed_into) is the hook
+//! the Deep Validation framework (Fig. 1 of the paper) attaches to: it
+//! returns the hidden representation `f_i(x)` at every tapped probe point
+//! alongside the final logits.
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -126,56 +129,6 @@ impl Network {
         x
     }
 
-    /// Forward pass that also captures every probe-point representation.
-    ///
-    /// Returns `(logits, probes)` where `probes[i]` is the batched hidden
-    /// representation at the `i`-th probe point.
-    ///
-    /// # Panics
-    ///
-    /// Panics on input shape mismatch.
-    pub fn forward_probed(&mut self, input: &Tensor) -> (Tensor, Vec<Tensor>) {
-        let all: Vec<usize> = (0..self.probe_points.len()).collect();
-        self.forward_probed_masked(input, &all)
-    }
-
-    /// Forward pass capturing only the probe points selected by `taps`
-    /// (strictly ascending indices into the probe list). A validator
-    /// monitoring a subset of layers pays for exactly those clones and no
-    /// others.
-    ///
-    /// Returns `(logits, probes)` with `probes` in `taps` order.
-    ///
-    /// # Panics
-    ///
-    /// Panics on input shape mismatch or an out-of-range/unsorted tap.
-    pub fn forward_probed_masked(
-        &mut self,
-        input: &Tensor,
-        taps: &[usize],
-    ) -> (Tensor, Vec<Tensor>) {
-        self.check_input(input);
-        for w in taps.windows(2) {
-            assert!(w[0] < w[1], "taps must be strictly ascending");
-        }
-        if let Some(&last) = taps.last() {
-            assert!(last < self.probe_points.len(), "tap {last} out of range");
-        }
-        let mut x = input.clone();
-        let mut probes = Vec::with_capacity(taps.len());
-        let mut v = 0usize;
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            x = layer.forward(&x, false);
-            if self.probe_points.contains(&i) {
-                if taps.contains(&v) {
-                    probes.push(x.clone());
-                }
-                v += 1;
-            }
-        }
-        (x, probes)
-    }
-
     /// Compiles the network into a shared-immutable [`InferencePlan`]:
     /// parameters are copied out of the layers and every op pre-reserves
     /// its workspace scratch, so the plan serves inference from `&self`
@@ -260,31 +213,42 @@ impl Network {
     /// Loads parameters saved by [`save`](Network::save) into a network of
     /// identical architecture.
     ///
+    /// The checkpoint is checked against the architecture before any
+    /// parameter changes, so a failed load leaves the network untouched.
+    ///
     /// # Errors
     ///
-    /// Returns a [`DecodeError`] on I/O failure or malformed checkpoint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a checkpointed parameter does not match the architecture
-    /// (wrong layer index, unknown name or wrong shape).
+    /// Returns a [`DecodeError`] on I/O failure or a malformed checkpoint,
+    /// and [`DecodeError::Malformed`] when the checkpoint belongs to
+    /// another architecture: an unknown or missing parameter, or one whose
+    /// shape differs.
     pub fn load(&mut self, path: &Path) -> Result<(), DecodeError> {
         let file = BufReader::new(File::open(path).map_err(DecodeError::Io)?);
-        let entries = read_named(file)?;
-        for (key, tensor) in entries {
-            let (layer_part, name) = key
-                .split_once('.')
-                .unwrap_or_else(|| panic!("malformed checkpoint key {key:?}"));
-            let idx: usize = layer_part
-                .strip_prefix("layer")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| panic!("malformed checkpoint key {key:?}"));
-            assert!(
-                idx < self.layers.len(),
-                "checkpoint refers to layer {idx} but network has {}",
-                self.layers.len()
-            );
-            self.layers[idx].load_param(name, tensor);
+        let mut entries = read_named(file)?;
+        let mut wanted = Vec::new();
+        for (i, layer) in self.layers.iter().enumerate() {
+            for (name, param) in layer.named_params() {
+                let key = format!("layer{i:03}.{name}");
+                let tensor = entries.remove(&key).ok_or_else(|| {
+                    DecodeError::Malformed(format!("checkpoint lacks parameter {key}"))
+                })?;
+                if !tensor.shape().same_dims(param.shape()) {
+                    return Err(DecodeError::Malformed(format!(
+                        "checkpoint parameter {key} has shape {}, network expects {}",
+                        tensor.shape(),
+                        param.shape()
+                    )));
+                }
+                wanted.push((i, name, tensor));
+            }
+        }
+        if let Some(key) = entries.keys().next() {
+            return Err(DecodeError::Malformed(format!(
+                "checkpoint parameter {key} is not in this network"
+            )));
+        }
+        for (i, name, tensor) in wanted {
+            self.layers[i].load_param(name, tensor);
         }
         Ok(())
     }
@@ -304,18 +268,6 @@ impl Network {
     }
 }
 
-impl Clone for Network {
-    /// Deep copy (parameters and caches) via [`Layer::clone_box`], used to
-    /// give each inference worker its own mutable network.
-    fn clone(&self) -> Self {
-        Self {
-            input_dims: self.input_dims.clone(),
-            layers: self.layers.iter().map(|l| l.clone_box()).collect(),
-            probe_points: self.probe_points.clone(),
-        }
-    }
-}
-
 impl std::fmt::Debug for Network {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let names: Vec<&str> = self.layers.iter().map(|l| l.name()).collect();
@@ -331,8 +283,24 @@ impl std::fmt::Debug for Network {
 mod tests {
     use super::*;
     use crate::layers::{Conv2d, Dense, Flatten, MaxPool2, Relu};
+    use dv_tensor::Workspace;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Reference inference, written out layer by layer on the training
+    /// layers: the logits plus every probe-point representation. The plan
+    /// must reproduce it bit for bit.
+    fn layer_walk(net: &mut Network, x: &Tensor) -> (Tensor, Vec<Tensor>) {
+        let mut h = x.clone();
+        let mut probes = Vec::new();
+        for (i, layer) in net.layers.iter_mut().enumerate() {
+            h = layer.forward(&h, false);
+            if net.probe_points.contains(&i) {
+                probes.push(h.clone());
+            }
+        }
+        (h, probes)
+    }
 
     fn tiny_cnn(seed: u64) -> Network {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -358,13 +326,17 @@ mod tests {
 
     #[test]
     fn probes_capture_hidden_representations() {
-        let mut net = tiny_cnn(1);
+        let net = tiny_cnn(1);
+        let plan = net.plan();
+        let mut ws = Workspace::new();
         let mut rng = StdRng::seed_from_u64(42);
         let x = Tensor::randn(&mut rng, &[1, 1, 8, 8], 1.0);
-        let (_, probes) = net.forward_probed(&x);
-        assert_eq!(probes.len(), 2);
-        assert_eq!(probes[0].shape().dims(), &[1, 4, 6, 6]);
-        assert_eq!(probes[1].shape().dims(), &[1, 10]);
+        let out = plan.forward_probed_into(&x, &[0, 1], &mut ws);
+        assert_eq!(out.probe(0).len(), 4 * 6 * 6);
+        assert_eq!(out.probe(1).len(), 10);
+        assert_eq!(plan.num_probes(), 2);
+        assert_eq!(plan.probe_item_dims(0), &[4, 6, 6]);
+        assert_eq!(plan.probe_item_dims(1), &[10]);
         assert_eq!(net.probe_dims(), vec![vec![4, 6, 6], vec![10]]);
     }
 
@@ -427,6 +399,50 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Every parameter value as bits, in stack order.
+    fn param_bits(net: &Network) -> Vec<Vec<u32>> {
+        net.layers
+            .iter()
+            .flat_map(|l| l.named_params())
+            .map(|(_, t)| t.data().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn load_rejects_another_architecture_and_changes_nothing() {
+        let dir = std::env::temp_dir().join("dv_nn_ckpt_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut rng = StdRng::seed_from_u64(12);
+        // A wider conv (mis-shaped parameters), a shorter stack (missing
+        // parameters) and a longer one (unknown parameters).
+        let mut wide = Network::new(&[1, 8, 8]);
+        wide.push(Conv2d::new(&mut rng, 1, 5, 3))
+            .push_probe(Relu::new())
+            .push(MaxPool2::new())
+            .push(Flatten::new())
+            .push(Dense::new(&mut rng, 5 * 3 * 3, 10))
+            .push_probe(Relu::new())
+            .push(Dense::new(&mut rng, 10, 3));
+        let mut short = Network::new(&[1, 8, 8]);
+        short.push(Conv2d::new(&mut rng, 1, 4, 3));
+        let mut long = tiny_cnn(13);
+        long.push(Dense::new(&mut rng, 3, 3));
+        for (tag, other) in [("wide", wide), ("short", short), ("long", long)] {
+            let path = dir.join(format!("arch_{tag}.dvt"));
+            other.save(&path).unwrap();
+            let mut net = tiny_cnn(12);
+            let before = param_bits(&net);
+            let err = net.load(&path).unwrap_err();
+            assert!(matches!(err, DecodeError::Malformed(_)), "{tag}: {err}");
+            assert_eq!(
+                param_bits(&net),
+                before,
+                "{tag}: failed load changed parameters"
+            );
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
     #[test]
     fn classify_returns_argmax_and_confidence() {
         let mut net = tiny_cnn(6);
@@ -454,35 +470,53 @@ mod tests {
 
     #[test]
     fn masked_probes_select_a_subset() {
-        let mut net = tiny_cnn(9);
+        let plan = tiny_cnn(9).plan();
         let mut rng = StdRng::seed_from_u64(11);
         let x = Tensor::randn(&mut rng, &[2, 1, 8, 8], 1.0);
-        let (logits_all, all) = net.forward_probed(&x);
-        let (logits_one, one) = net.forward_probed_masked(&x, &[1]);
-        assert_eq!(logits_all.data(), logits_one.data());
-        assert_eq!(one.len(), 1);
-        assert_eq!(one[0].data(), all[1].data());
-        let (_, none) = net.forward_probed_masked(&x, &[]);
-        assert!(none.is_empty());
+        let mut ws = Workspace::new();
+        let all = plan.forward_probed_into(&x, &[0, 1], &mut ws);
+        let (logits_all, probe1) = (all.logits().to_vec(), all.probe(1).to_vec());
+        let one = plan.forward_probed_into(&x, &[1], &mut ws);
+        assert_eq!(one.logits(), logits_all.as_slice());
+        assert_eq!(one.probe(0), probe1.as_slice());
+        // No taps: same logits, and no probe buffer is materialized.
+        let mut fresh = Workspace::new();
+        let none = plan.forward_probed_into(&x, &[], &mut fresh);
+        assert_eq!(none.logits(), logits_all.as_slice());
+        assert_eq!(fresh.num_probes(), 0);
     }
 
     #[test]
     #[should_panic(expected = "strictly ascending")]
     fn masked_probes_reject_unsorted_taps() {
-        let mut net = tiny_cnn(10);
-        let _ = net.forward_probed_masked(&Tensor::zeros(&[1, 1, 8, 8]), &[1, 0]);
+        let plan = tiny_cnn(10).plan();
+        let _ = plan.forward_probed_into(
+            &Tensor::zeros(&[1, 1, 8, 8]),
+            &[1, 0],
+            &mut Workspace::new(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "tap 2 out of range")]
+    fn masked_probes_reject_out_of_range_taps() {
+        let plan = tiny_cnn(10).plan();
+        let _ = plan.forward_probed_into(
+            &Tensor::zeros(&[1, 1, 8, 8]),
+            &[0, 2],
+            &mut Workspace::new(),
+        );
     }
 
     #[test]
     fn plan_matches_network_bit_for_bit() {
-        use dv_tensor::Workspace;
         let mut net = tiny_cnn(11);
         let plan = net.plan();
         let mut ws = Workspace::new();
         let mut rng = StdRng::seed_from_u64(13);
         let x = Tensor::randn(&mut rng, &[3, 1, 8, 8], 1.0);
 
-        let (logits, probes) = net.forward_probed(&x);
+        let (logits, probes) = layer_walk(&mut net, &x);
         let out = plan.forward_probed_into(&x, &[0, 1], &mut ws);
         assert_eq!(out.logits(), logits.data());
         assert_eq!(out.probe(0), probes[0].data());
@@ -501,7 +535,6 @@ mod tests {
     #[test]
     fn plan_covers_extra_layers_bit_for_bit() {
         use crate::layers_extra::{BatchNorm2d, DenseBlock, Dropout};
-        use dv_tensor::Workspace;
         let mut rng = StdRng::seed_from_u64(14);
         let mut net = Network::new(&[2, 6, 6]);
         let block = DenseBlock::new(&mut rng, 2, 3, 2);
@@ -520,7 +553,7 @@ mod tests {
         let plan = net.plan();
         let mut ws = Workspace::new();
         let x = Tensor::randn(&mut rng, &[2, 2, 6, 6], 1.0);
-        let (logits, probes) = net.forward_probed(&x);
+        let (logits, probes) = layer_walk(&mut net, &x);
         let out = plan.forward_probed_into(&x, &[0, 1], &mut ws);
         assert_eq!(out.logits(), logits.data());
         assert_eq!(out.probe(0), probes[0].data());

@@ -13,11 +13,15 @@
 //! into a per-thread buffer, so no im2col column matrix is ever
 //! materialized.
 //!
+//! The plan is the only inference path: every forward-only caller
+//! (validation, detectors, grid search, evaluation) runs through it.
 //! Every op reuses the exact kernels and accumulation orders of the
-//! mutable training path (the one shared packed GEMM, the same
-//! elementwise formulas), so plan outputs are bit-identical to
-//! [`Network::forward`](crate::Network::forward) /
-//! [`forward_probed`](crate::Network::forward_probed) at any `DV_THREADS`.
+//! training layers (the one shared convolution, the same elementwise
+//! formulas), so plan outputs are bit-identical to
+//! [`Network::forward`](crate::Network::forward) in inference mode at any
+//! `DV_THREADS`. dv-nn's `plan_matches_network_bit_for_bit` and
+//! `plan_covers_extra_layers_bit_for_bit` pin that, logits and every
+//! probe, against a layer-by-layer walk of the training layers.
 
 use dv_tensor::workspace::ensure_zeroed;
 use dv_tensor::{Tensor, TensorView, TensorViewMut, Workspace};

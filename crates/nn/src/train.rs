@@ -1,12 +1,13 @@
 //! Mini-batch training loop and evaluation helpers.
 
-use dv_tensor::Tensor;
+use dv_tensor::{Tensor, Workspace};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::loss::cross_entropy;
 use crate::network::Network;
 use crate::optim::Optimizer;
+use crate::plan::InferencePlan;
 
 /// Training hyperparameters.
 #[derive(Debug, Clone, Copy)]
@@ -104,12 +105,12 @@ pub fn fit<R: Rng + ?Sized>(
 /// # Panics
 ///
 /// Panics if `images` and `labels` have different lengths or are empty.
-pub fn evaluate(net: &mut Network, images: &[Tensor], labels: &[usize]) -> EvalStats {
+pub fn evaluate(plan: &InferencePlan, images: &[Tensor], labels: &[usize]) -> EvalStats {
     assert_eq!(images.len(), labels.len(), "image/label count mismatch");
     assert!(!images.is_empty(), "evaluation set is empty");
     let mut correct = 0usize;
     let mut conf_sum = 0.0f32;
-    for ((label, conf), &y) in classify_all(net, images).iter().zip(labels) {
+    for ((label, conf), &y) in classify_all(plan, images).iter().zip(labels) {
         if *label == y {
             correct += 1;
         }
@@ -122,39 +123,36 @@ pub fn evaluate(net: &mut Network, images: &[Tensor], labels: &[usize]) -> EvalS
 }
 
 /// Predicted labels for a set of per-item images.
-pub fn predict_labels(net: &mut Network, images: &[Tensor]) -> Vec<usize> {
-    classify_all(net, images)
+pub fn predict_labels(plan: &InferencePlan, images: &[Tensor]) -> Vec<usize> {
+    classify_all(plan, images)
         .into_iter()
         .map(|(label, _)| label)
         .collect()
 }
 
 /// Classifies every image, fanning contiguous chunks out across the
-/// `dv-runtime` pool with one cloned network per chunk (layers cache
-/// forward state, so workers cannot share one `&mut Network`). Inference
-/// is deterministic per image and results are reassembled in input order,
-/// so the output is identical to the sequential loop, which is exactly
-/// what runs when the pool has a single thread.
-fn classify_all(net: &mut Network, images: &[Tensor]) -> Vec<(usize, f32)> {
-    let threads = dv_runtime::current_threads();
-    if threads <= 1 || images.len() <= 1 {
-        return images
-            .iter()
-            .map(|img| net.classify(&Tensor::stack(std::slice::from_ref(img))))
-            .collect();
-    }
-    let net: &Network = net;
-    let chunks: Vec<&[Tensor]> = images.chunks(images.len().div_ceil(threads)).collect();
-    dv_runtime::par_map(&chunks, |chunk| {
-        let mut worker = net.clone();
+/// `dv-runtime` pool. Every chunk shares the one plan and brings its own
+/// [`Workspace`]. Inference is deterministic per image and results are
+/// reassembled in input order, so the output is identical to the
+/// sequential loop, which is exactly what runs when the pool has a
+/// single thread.
+fn classify_all(plan: &InferencePlan, images: &[Tensor]) -> Vec<(usize, f32)> {
+    let classify_chunk = |chunk: &[Tensor]| {
+        let mut ws = Workspace::new();
         chunk
             .iter()
-            .map(|img| worker.classify(&Tensor::stack(std::slice::from_ref(img))))
+            .map(|img| plan.classify(img, &mut ws))
             .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    };
+    let threads = dv_runtime::current_threads();
+    if threads <= 1 || images.len() <= 1 {
+        return classify_chunk(images);
+    }
+    let chunks: Vec<&[Tensor]> = images.chunks(images.len().div_ceil(threads)).collect();
+    dv_runtime::par_map(&chunks, |chunk| classify_chunk(chunk))
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 #[cfg(test)]
@@ -200,7 +198,7 @@ mod tests {
         };
         let history = fit(&mut net, &mut opt, &images, &labels, &cfg, &mut rng);
         assert!(history.last().unwrap().loss < history[0].loss);
-        let stats = evaluate(&mut net, &images, &labels);
+        let stats = evaluate(&net.plan(), &images, &labels);
         assert!(stats.accuracy > 0.95, "accuracy only {}", stats.accuracy);
         assert!(stats.mean_confidence > 0.5);
     }
@@ -216,10 +214,11 @@ mod tests {
             batch_size: 16,
         };
         fit(&mut net, &mut opt, &images, &labels, &cfg, &mut rng);
-        let preds = predict_labels(&mut net, &images);
+        let plan = net.plan();
+        let preds = predict_labels(&plan, &images);
         let acc =
             preds.iter().zip(&labels).filter(|(p, y)| p == y).count() as f32 / labels.len() as f32;
-        let stats = evaluate(&mut net, &images, &labels);
+        let stats = evaluate(&plan, &images, &labels);
         assert!((acc - stats.accuracy).abs() < 1e-6);
     }
 

@@ -15,7 +15,7 @@ use deep_validation::nn::layers::{Conv2d, Dense, Flatten, MaxPool2, Relu};
 use deep_validation::nn::optim::Adam;
 use deep_validation::nn::train::{fit, TrainConfig};
 use deep_validation::nn::Network;
-use deep_validation::tensor::Tensor;
+use deep_validation::tensor::{Tensor, Workspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -56,6 +56,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &ValidatorConfig::default(),
     )?;
 
+    // Every forward-only pass runs through one compiled plan; the
+    // attacks take gradients through the network itself.
+    let plan = net.plan();
+    let mut ws = Workspace::new();
+    let joint_scores = |images: &[Tensor]| -> Vec<f32> {
+        validator
+            .discrepancies_with_plan(&plan, images)
+            .iter()
+            .map(|r| r.joint)
+            .collect()
+    };
+
     // Seeds the attacker perturbs: correctly classified test images.
     let mut seeds = Vec::new();
     let mut seed_labels = Vec::new();
@@ -63,15 +75,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if seeds.len() >= 30 {
             break;
         }
-        if net.classify(&Tensor::stack(std::slice::from_ref(img))).0 == label {
+        if plan.classify(img, &mut ws).0 == label {
             seeds.push(img.clone());
             seed_labels.push(label);
         }
     }
-    let clean_scores: Vec<f32> = ds.test.images[100..180]
-        .iter()
-        .map(|img| validator.discrepancy(&mut net, img).joint)
-        .collect();
+    let clean_scores = joint_scores(&ds.test.images[100..180]);
 
     let attacks: Vec<(&str, Box<dyn Attack>)> = vec![
         (
@@ -102,11 +111,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("{name:<24} {:>12} {:>14} {:>16}", "0/30", "-", "-");
             continue;
         }
-        let scores: Vec<f32> = adversarial
-            .iter()
-            .map(|img| validator.discrepancy(&mut net, img).joint)
-            .collect();
-        let auc = roc_auc(&clean_scores, &scores);
+        let auc = roc_auc(&clean_scores, &joint_scores(&adversarial));
         println!(
             "{name:<24} {:>12} {:>14.3} {:>16.4}",
             format!("{}/30", adversarial.len()),

@@ -10,7 +10,9 @@
 //!
 //! Run with: `cargo run --release --example custom_dataset`
 
-use deep_validation::core::{DeepValidator, JointCalibration, ValidatorConfig};
+use deep_validation::core::{
+    DeepValidator, DiscrepancyReport, JointCalibration, ScoreWorkspace, ValidatorConfig,
+};
 use deep_validation::eval::{centroid_threshold, roc_auc};
 use deep_validation::nn::layers::{Conv2d, Dense, Flatten, Relu};
 use deep_validation::nn::optim::Adam;
@@ -74,7 +76,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &cfg,
         &mut rng,
     );
-    let stats = evaluate(&mut net, &test_images, &test_labels);
+    let plan = net.plan();
+    let stats = evaluate(&plan, &test_images, &test_labels);
     println!("test accuracy {:.3}", stats.accuracy);
 
     // Fit the validator on the same training data the model saw.
@@ -87,7 +90,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Calibrate the weighted joint on a clean held-out slice
     // (the paper's §IV-D3 improvement).
-    let calibration = JointCalibration::fit(&validator, &mut net, &test_images[..60]);
+    let calibration = JointCalibration::fit(&validator, &plan, &test_images[..60]);
+    let mut sw = ScoreWorkspace::new();
+    let mut calibrated = |img: &Tensor| -> DiscrepancyReport {
+        let report = validator
+            .score(&plan, img, &mut sw)
+            .expect("sensor bitmaps are well-formed");
+        calibration.apply(&report)
+    };
 
     // Anomalies your sensor might produce: dead rows, inverted polarity,
     // saturation.
@@ -110,20 +120,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let clean_scores: Vec<f32> = test_images[60..]
         .iter()
-        .map(|img| {
-            validator
-                .discrepancy_calibrated(&mut net, img, &calibration)
-                .joint
-        })
+        .map(|img| calibrated(img).joint)
         .collect();
     let mut anomaly_scores = Vec::new();
     for img in test_images[..20].iter() {
         for (_, anomaly) in make_anomalies(img) {
-            anomaly_scores.push(
-                validator
-                    .discrepancy_calibrated(&mut net, &anomaly, &calibration)
-                    .joint,
-            );
+            anomaly_scores.push(calibrated(&anomaly).joint);
         }
     }
     println!(
@@ -137,7 +139,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("deployment threshold epsilon = {epsilon:+.4}");
     let probe = &test_images[100];
     for (name, anomaly) in make_anomalies(probe) {
-        let report = validator.discrepancy_calibrated(&mut net, &anomaly, &calibration);
+        let report = calibrated(&anomaly);
         println!(
             "{name:<10} -> predicted {} (conf {:.2}), discrepancy {:+.3}, flagged: {}",
             report.predicted,
@@ -146,7 +148,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.is_flagged(epsilon)
         );
     }
-    let clean_report = validator.discrepancy_calibrated(&mut net, probe, &calibration);
+    let clean_report = calibrated(probe);
     println!(
         "{:<10} -> predicted {} (conf {:.2}), discrepancy {:+.3}, flagged: {}",
         "clean",

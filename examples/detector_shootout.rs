@@ -15,7 +15,7 @@ use deep_validation::nn::layers::{Conv2d, Dense, Flatten, MaxPool2, Relu};
 use deep_validation::nn::optim::Adam;
 use deep_validation::nn::train::{fit, TrainConfig};
 use deep_validation::nn::Network;
-use deep_validation::tensor::Tensor;
+use deep_validation::tensor::{Tensor, Workspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -55,16 +55,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Transform::Scale { sx: 0.6, sy: 0.6 },
         Transform::Complement,
     ];
+    let plan = net.plan();
+    let mut ws = Workspace::new();
     let mut sccs = Vec::new();
     for (img, &label) in ds.test.images[..150].iter().zip(&ds.test.labels) {
-        let x = Tensor::stack(std::slice::from_ref(img));
-        if net.classify(&x).0 != label {
+        if plan.classify(img, &mut ws).0 != label {
             continue;
         }
         for t in &transforms {
             let corner = t.apply(img);
-            let xc = Tensor::stack(std::slice::from_ref(&corner));
-            if net.classify(&xc).0 != label {
+            if plan.classify(&corner, &mut ws).0 != label {
                 sccs.push(corner);
             }
         }
@@ -81,13 +81,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     let mut dv = JointValidatorDetector::new(validator);
     let mut fs = FeatureSqueezing::mnist_default();
-    let mut kde = KdeDetector::fit(&mut net, &ds.train.images, &ds.train.labels, 200, None)?;
+    let mut kde = KdeDetector::fit(&plan, &ds.train.images, &ds.train.labels, 200, None)?;
 
     let mut table = TextTable::new(vec!["Method", "ROC-AUC (SCCs)"]);
     let mut detectors: Vec<&mut dyn Detector> = vec![&mut dv, &mut fs, &mut kde];
     for d in detectors.iter_mut() {
-        let neg = d.score_all(&mut net, &clean);
-        let pos = d.score_all(&mut net, &sccs);
+        let neg = d.score_all(&mut net, &plan, &clean);
+        let pos = d.score_all(&mut net, &plan, &sccs);
         let auc = roc_auc(&neg, &pos);
         table.row(vec![d.name().to_owned(), format!("{auc:.4}")]);
     }

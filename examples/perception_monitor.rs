@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --example perception_monitor`
 
-use deep_validation::core::{DeepValidator, ValidatorConfig};
+use deep_validation::core::{DeepValidator, ScoreWorkspace, ValidatorConfig};
 use deep_validation::datasets::DatasetSpec;
 use deep_validation::eval::threshold_at_fpr;
 use deep_validation::imgops::Transform;
@@ -57,10 +57,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &ds.train.labels,
         &ValidatorConfig::default(),
     )?;
+    // The monitor scores every frame through one compiled plan.
+    let plan = net.plan();
+    let mut sw = ScoreWorkspace::new();
     // Operating point: 5% false alarms on a clean calibration stream.
-    let calibration: Vec<f32> = ds.test.images[200..300]
+    let calibration: Vec<f32> = validator
+        .discrepancies_with_plan(&plan, &ds.test.images[200..300])
         .iter()
-        .map(|img| validator.discrepancy(&mut net, img).joint)
+        .map(|r| r.joint)
         .collect();
     let epsilon = threshold_at_fpr(&calibration, 0.05);
     println!("alarm threshold epsilon = {epsilon:+.4} (5% clean FPR)\n");
@@ -86,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut alarms = 0usize;
         for (img, &label) in window.iter().zip(&labels) {
             let frame = drift.apply(img);
-            let report = validator.discrepancy(&mut net, &frame);
+            let report = validator.score(&plan, &frame, &mut sw)?;
             if report.predicted == label {
                 correct += 1;
             }

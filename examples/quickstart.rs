@@ -4,14 +4,13 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use deep_validation::core::{DeepValidator, ValidatorConfig};
+use deep_validation::core::{DeepValidator, ScoreWorkspace, ValidatorConfig};
 use deep_validation::datasets::DatasetSpec;
 use deep_validation::imgops::Transform;
 use deep_validation::nn::layers::{Conv2d, Dense, Flatten, MaxPool2, Relu};
 use deep_validation::nn::optim::Adam;
 use deep_validation::nn::train::{evaluate, fit, TrainConfig};
 use deep_validation::nn::Network;
-use deep_validation::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -54,7 +53,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &cfg,
         &mut rng,
     );
-    let stats = evaluate(&mut net, &ds.test.images, &ds.test.labels);
+    // Compile the trained network once; all inference runs through the
+    // plan.
+    let plan = net.plan();
+    let stats = evaluate(&plan, &ds.test.images, &ds.test.labels);
     println!(
         "test accuracy {:.3}, mean confidence {:.3}",
         stats.accuracy, stats.mean_confidence
@@ -76,8 +78,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 5. Score clean inputs vs corner cases (Algorithm 2).
+    let mut sw = ScoreWorkspace::new();
     let seed = &ds.test.images[0];
-    let clean = validator.discrepancy(&mut net, seed);
+    let clean = validator.score(&plan, seed, &mut sw)?;
     println!(
         "\nclean digit:     predicted {} (conf {:.3}), joint discrepancy {:+.4}",
         clean.predicted, clean.confidence, clean.joint
@@ -88,7 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("scaled to 60%", Transform::Scale { sx: 0.6, sy: 0.6 }),
     ] {
         let corner = transform.apply(seed);
-        let report = validator.discrepancy(&mut net, &corner);
+        let report = validator.score(&plan, &corner, &mut sw)?;
         println!(
             "{label:<16} predicted {} (conf {:.3}), joint discrepancy {:+.4}",
             report.predicted, report.confidence, report.joint
@@ -96,22 +99,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 6. Pick a flagging threshold from clean data and use it.
-    let clean_scores: Vec<f32> = ds.test.images[..100]
+    let clean_scores: Vec<f32> = validator
+        .discrepancies_with_plan(&plan, &ds.test.images[..100])
         .iter()
-        .map(|img| validator.discrepancy(&mut net, img).joint)
+        .map(|r| r.joint)
         .collect();
     let threshold = deep_validation::eval::threshold_at_fpr(&clean_scores, 0.05);
     let complemented = Transform::Complement.apply(seed);
-    let report = validator.discrepancy(&mut net, &complemented);
+    let report = validator.score(&plan, &complemented, &mut sw)?;
     println!(
         "\nthreshold at 5% FPR = {threshold:+.4}; complemented input flagged: {}",
         report.is_flagged(threshold)
     );
-    let x = Tensor::stack(std::slice::from_ref(seed));
-    let (pred, _) = net.classify(&x);
     println!(
-        "clean input flagged: {} (prediction {pred})",
-        clean.is_flagged(threshold)
+        "clean input flagged: {} (prediction {})",
+        clean.is_flagged(threshold),
+        clean.predicted
     );
     Ok(())
 }

@@ -18,7 +18,7 @@
 //! | [`trace`](mod@trace) | metrics registry, scoped spans, chrome-trace export |
 //! | [`drift`] | streaming distribution-shift monitor over discrepancy streams |
 //! | [`tensor`] | dense f32 tensors, matmul, im2col, binary IO |
-//! | [`nn`] | CNN layers, training, probed inference |
+//! | [`nn`] | CNN layers, training, the compiled inference plan |
 //! | [`datasets`] | synthetic MNIST/CIFAR-10/SVHN stand-ins |
 //! | [`imgops`] | metamorphic image transformations |
 //! | [`ocsvm`] | ν one-class SVM with an SMO solver |
@@ -35,7 +35,7 @@
 //! See `examples/quickstart.rs` for a complete program; the core flow is:
 //!
 //! ```no_run
-//! use deep_validation::core::{DeepValidator, ValidatorConfig};
+//! use deep_validation::core::{DeepValidator, ScoreWorkspace, ValidatorConfig};
 //! use deep_validation::datasets::DatasetSpec;
 //! use deep_validation::imgops::Transform;
 //! # fn train_model(ds: &deep_validation::datasets::Dataset) -> deep_validation::nn::Network {
@@ -44,16 +44,19 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let ds = DatasetSpec::SynthDigits.generate(7, 500, 100);
-//! let mut net = train_model(&ds);
+//! let net = train_model(&ds);
 //! let validator = DeepValidator::fit(
-//!     &mut net,
+//!     &net,
 //!     &ds.train.images,
 //!     &ds.train.labels,
 //!     &ValidatorConfig::default(),
 //! )?;
-//! let clean = validator.discrepancy(&mut net, &ds.test.images[0]);
+//! // All inference runs through one compiled plan.
+//! let plan = net.plan();
+//! let mut sw = ScoreWorkspace::new();
+//! let clean = validator.score(&plan, &ds.test.images[0], &mut sw)?;
 //! let rotated = Transform::Rotation { deg: 50.0 }.apply(&ds.test.images[0]);
-//! let corner = validator.discrepancy(&mut net, &rotated);
+//! let corner = validator.score(&plan, &rotated, &mut sw)?;
 //! println!("clean {} vs corner {}", clean.joint, corner.joint);
 //! # Ok(())
 //! # }

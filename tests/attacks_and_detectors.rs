@@ -12,7 +12,7 @@ use deep_validation::nn::layers::{Conv2d, Dense, Flatten, MaxPool2, Relu};
 use deep_validation::nn::optim::Adam;
 use deep_validation::nn::train::{evaluate, fit, TrainConfig};
 use deep_validation::nn::Network;
-use deep_validation::tensor::Tensor;
+use deep_validation::tensor::{Tensor, Workspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -50,7 +50,8 @@ fn trained() -> (Network, deep_validation::datasets::Dataset) {
 #[test]
 fn attacks_reduce_accuracy_and_are_detected() {
     let (mut net, ds) = trained();
-    let stats = evaluate(&mut net, &ds.test.images, &ds.test.labels);
+    let plan = net.plan();
+    let stats = evaluate(&plan, &ds.test.images, &ds.test.labels);
     assert!(stats.accuracy > 0.7, "model too weak: {}", stats.accuracy);
 
     let validator = DeepValidator::fit(
@@ -62,13 +63,14 @@ fn attacks_reduce_accuracy_and_are_detected() {
     .unwrap();
 
     // Attack 20 correctly classified seeds.
+    let mut ws = Workspace::new();
     let mut seeds = Vec::new();
     let mut labels = Vec::new();
     for (img, &l) in ds.test.images.iter().zip(&ds.test.labels) {
         if seeds.len() >= 20 {
             break;
         }
-        if net.classify(&Tensor::stack(std::slice::from_ref(img))).0 == l {
+        if plan.classify(img, &mut ws).0 == l {
             seeds.push(img.clone());
             labels.push(l);
         }
@@ -87,14 +89,15 @@ fn attacks_reduce_accuracy_and_are_detected() {
         adversarial.len()
     );
 
-    let clean_scores: Vec<f32> = ds.test.images[50..120]
-        .iter()
-        .map(|img| validator.discrepancy(&mut net, img).joint)
-        .collect();
-    let adv_scores: Vec<f32> = adversarial
-        .iter()
-        .map(|img| validator.discrepancy(&mut net, img).joint)
-        .collect();
+    let joint_scores = |images: &[Tensor]| -> Vec<f32> {
+        validator
+            .discrepancies_with_plan(&plan, images)
+            .iter()
+            .map(|r| r.joint)
+            .collect()
+    };
+    let clean_scores = joint_scores(&ds.test.images[50..120]);
+    let adv_scores = joint_scores(&adversarial);
     let auc = roc_auc(&clean_scores, &adv_scores);
     assert!(auc > 0.7, "DV vs BIM AUC only {auc:.3}");
 }
@@ -144,21 +147,21 @@ fn all_detector_families_rank_corner_cases_above_clean() {
 
     let mut dv = JointValidatorDetector::new(validator.clone());
     let mut fs = FeatureSqueezing::mnist_default();
-    let mut kde =
-        KdeDetector::fit(&mut net, &ds.train.images, &ds.train.labels, 100, None).unwrap();
+    let plan = net.plan();
+    let mut kde = KdeDetector::fit(&plan, &ds.train.images, &ds.train.labels, 100, None).unwrap();
 
     // Deep Validation must separate well; the baselines merely have to
     // produce finite scores (their quality is measured in table7).
-    let neg = dv.score_all(&mut net, &clean);
-    let pos = dv.score_all(&mut net, &corners);
+    let neg = dv.score_all(&mut net, &plan, &clean);
+    let pos = dv.score_all(&mut net, &plan, &corners);
     let dv_auc = roc_auc(&neg, &pos);
     assert!(dv_auc > 0.9, "DV vs complement AUC only {dv_auc:.3}");
 
     for d in [&mut fs as &mut dyn Detector, &mut kde] {
         for s in d
-            .score_all(&mut net, &clean)
+            .score_all(&mut net, &plan, &clean)
             .iter()
-            .chain(&d.score_all(&mut net, &corners))
+            .chain(&d.score_all(&mut net, &plan, &corners))
         {
             assert!(s.is_finite(), "{} produced non-finite score", d.name());
         }
@@ -167,7 +170,7 @@ fn all_detector_families_rank_corner_cases_above_clean() {
     // Single validators exist for every layer and agree with the report.
     for layer in 0..validator.num_validated_layers() {
         let mut single = SingleValidatorDetector::new(validator.clone(), layer);
-        let s = single.score(&mut net, &clean[0]);
+        let s = single.score(&mut net, &plan, &mut Workspace::new(), &clean[0]);
         assert!(s.is_finite());
     }
 }

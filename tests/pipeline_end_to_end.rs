@@ -5,6 +5,7 @@
 use std::sync::Once;
 
 use deep_validation::bench::Experiment;
+use deep_validation::core::ScoreWorkspace;
 use deep_validation::datasets::DatasetSpec;
 use deep_validation::eval::roc_auc;
 
@@ -21,7 +22,7 @@ fn init() {
 #[test]
 fn digit_pipeline_detects_corner_cases() {
     init();
-    let mut exp = Experiment::prepare(DatasetSpec::SynthDigits);
+    let exp = Experiment::prepare(DatasetSpec::SynthDigits);
     assert!(
         exp.model_stats.accuracy > 0.7,
         "fast-profile model too weak: {}",
@@ -42,14 +43,15 @@ fn digit_pipeline_detects_corner_cases() {
     let validator = exp.fit_validator();
     assert_eq!(validator.num_validated_layers(), 6);
 
-    let clean_scores: Vec<f32> = eval_set
-        .clean
+    let clean_scores: Vec<f32> = validator
+        .discrepancies_with_plan(&exp.plan, &eval_set.clean)
         .iter()
-        .map(|img| validator.discrepancy(&mut exp.net, img).joint)
+        .map(|r| r.joint)
         .collect();
+    let mut sw = ScoreWorkspace::new();
     let scc_scores: Vec<f32> = sccs
         .iter()
-        .map(|c| validator.discrepancy(&mut exp.net, &c.image).joint)
+        .map(|c| validator.score(&exp.plan, &c.image, &mut sw).unwrap().joint)
         .collect();
     let auc = roc_auc(&clean_scores, &scc_scores);
     assert!(
@@ -69,7 +71,7 @@ fn digit_pipeline_detects_corner_cases() {
 #[test]
 fn search_results_are_cached_and_stable() {
     init();
-    let mut exp = Experiment::prepare(DatasetSpec::SynthDigits);
+    let exp = Experiment::prepare(DatasetSpec::SynthDigits);
     let first = exp.search_corner_cases();
     let second = exp.search_corner_cases(); // cache hit
     assert_eq!(first.len(), second.len());
@@ -83,11 +85,12 @@ fn search_results_are_cached_and_stable() {
 #[test]
 fn validator_reports_are_consistent_between_calls() {
     init();
-    let mut exp = Experiment::prepare(DatasetSpec::SynthDigits);
+    let exp = Experiment::prepare(DatasetSpec::SynthDigits);
     let validator = exp.fit_validator();
-    let img = exp.dataset.test.images[0].clone();
-    let a = validator.discrepancy(&mut exp.net, &img);
-    let b = validator.discrepancy(&mut exp.net, &img);
+    let img = &exp.dataset.test.images[0];
+    let mut sw = ScoreWorkspace::new();
+    let a = validator.score(&exp.plan, img, &mut sw).unwrap();
+    let b = validator.score(&exp.plan, img, &mut sw).unwrap();
     assert_eq!(a.predicted, b.predicted);
     assert_eq!(a.per_layer, b.per_layer);
     assert_eq!(a.joint, b.joint);
