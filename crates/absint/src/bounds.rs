@@ -48,15 +48,6 @@ impl Bounds {
         self.lo.is_empty()
     }
 
-    /// Mean per-element width `hi - lo`.
-    pub fn mean_width(&self) -> f64 {
-        if self.lo.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = self.lo.iter().zip(&self.hi).map(|(l, h)| h - l).sum();
-        sum / self.lo.len() as f64
-    }
-
     /// True if every element of `x` lies inside its interval.
     pub fn contains(&self, x: &[f32]) -> bool {
         self.max_violation(x) <= 0.0
@@ -94,12 +85,6 @@ mod tests {
         assert!(!b.contains(&[1.5, 0.0]));
         assert!((b.max_violation(&[1.5, 0.0]) - 0.5).abs() < 1e-9);
         assert!((b.max_violation(&[0.5, -3.0]) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mean_width_averages_elementwise_widths() {
-        let b = Bounds::from_f32(&[0.0, 0.0], &[1.0, 3.0]);
-        assert!((b.mean_width() - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -14,11 +14,11 @@ use dv_nn::InferencePlan;
 use crate::bounds::Bounds;
 
 /// `f32` machine epsilon, widened to `f64` for slack arithmetic.
-pub(crate) const EPS32: f64 = f32::EPSILON as f64;
+const EPS32: f64 = f32::EPSILON as f64;
 
 /// Outward widening covering the `f32` rounding of an `n`-term concrete
 /// accumulation whose terms have absolute sum at most `abs_sum`.
-pub(crate) fn fp_slack(abs_sum: f64, n: usize) -> f64 {
+fn fp_slack(abs_sum: f64, n: usize) -> f64 {
     2.0 * (n as f64 + 8.0) * EPS32 * abs_sum + 1e-30
 }
 
@@ -28,17 +28,6 @@ pub struct Propagation {
     pub taps: Vec<Bounds>,
     /// Box over the final logits row.
     pub logits: Bounds,
-    /// Mean box width after each op, in execution order (a tightness
-    /// diagnostic: how fast the abstraction loosens with depth).
-    pub op_mean_widths: Vec<f64>,
-}
-
-impl Propagation {
-    /// Label certified stable over the whole input region, if any
-    /// (see [`certified_label`]).
-    pub fn certified_label(&self) -> Option<usize> {
-        certified_label(&self.logits)
-    }
 }
 
 /// Propagates the box `[input_lo, input_hi]` through the plan using the
@@ -58,25 +47,19 @@ pub fn propagate(plan: &InferencePlan, input_lo: &[f32], input_hi: &[f32]) -> Pr
     assert_eq!(input_lo.len(), item, "input region size mismatch");
     let mut cur = Bounds::from_f32(input_lo, input_hi);
     let mut taps = Vec::with_capacity(plan.num_probes());
-    let mut op_mean_widths = Vec::with_capacity(plan.num_ops());
     let specs = plan.layer_specs();
     for (i, spec) in specs.iter().enumerate() {
         cur = transfer(spec, &cur, plan.op_in_dims(i));
-        op_mean_widths.push(cur.mean_width());
         if plan.probe_points().binary_search(&i).is_ok() {
             taps.push(cur.clone());
         }
     }
-    Propagation {
-        taps,
-        logits: cur,
-        op_mean_widths,
-    }
+    Propagation { taps, logits: cur }
 }
 
 /// Applies one op's interval transfer to `b`, whose layout follows
 /// `in_dims` (item dims, no batch axis).
-pub(crate) fn transfer(spec: &LayerSpec<'_>, b: &Bounds, in_dims: &[usize]) -> Bounds {
+fn transfer(spec: &LayerSpec<'_>, b: &Bounds, in_dims: &[usize]) -> Bounds {
     match spec {
         LayerSpec::Identity { label: _ } => b.clone(),
         LayerSpec::Relu => {
@@ -110,7 +93,7 @@ pub(crate) fn transfer(spec: &LayerSpec<'_>, b: &Bounds, in_dims: &[usize]) -> B
 }
 
 /// Exact ReLU transfer: clamp both endpoints at zero.
-pub(crate) fn relu_in_place(b: &mut Bounds) {
+fn relu_in_place(b: &mut Bounds) {
     for v in &mut b.lo {
         *v = v.max(0.0);
     }
@@ -122,7 +105,7 @@ pub(crate) fn relu_in_place(b: &mut Bounds) {
 /// Exact 2x2/stride-2 max-pool transfer: elementwise max over the window
 /// of each endpoint (`max` commutes with the box abstraction and is
 /// rounding-free).
-pub(crate) fn maxpool2(b: &Bounds, c: usize, h: usize, w: usize) -> Bounds {
+fn maxpool2(b: &Bounds, c: usize, h: usize, w: usize) -> Bounds {
     assert_eq!(b.len(), c * h * w, "maxpool input size mismatch");
     let (oh, ow) = (h / 2, w / 2);
     let mut lo = vec![0.0f64; c * oh * ow];
@@ -151,7 +134,7 @@ pub(crate) fn maxpool2(b: &Bounds, c: usize, h: usize, w: usize) -> Bounds {
 
 /// Dense transfer: matmul over bound pairs (sign-split endpoint products)
 /// plus `f32` rounding slack.
-pub(crate) fn dense(d: &DenseSpec<'_>, b: &Bounds) -> Bounds {
+fn dense(d: &DenseSpec<'_>, b: &Bounds) -> Bounds {
     assert_eq!(b.len(), d.in_features, "dense input size mismatch");
     let mut lo = vec![0.0f64; d.out_features];
     let mut hi = vec![0.0f64; d.out_features];
@@ -184,7 +167,7 @@ pub(crate) fn dense(d: &DenseSpec<'_>, b: &Bounds) -> Bounds {
 /// Convolution transfer: the im2col matmul interpreted directly over the
 /// input geometry, endpoint products sign-split per weight, zero padding
 /// contributing exactly zero.
-pub(crate) fn conv2d(c: &ConvSpec<'_>, b: &Bounds, in_h: usize, in_w: usize) -> Bounds {
+fn conv2d(c: &ConvSpec<'_>, b: &Bounds, in_h: usize, in_w: usize) -> Bounds {
     let k = c.kernel;
     assert_eq!(b.len(), c.in_channels * in_h * in_w, "conv input mismatch");
     assert!(
@@ -243,7 +226,7 @@ pub(crate) fn conv2d(c: &ConvSpec<'_>, b: &Bounds, in_h: usize, in_w: usize) -> 
 /// Batch-norm transfer: the per-channel affine map evaluated at both
 /// endpoints (monotone either way depending on the sign of
 /// `gamma * inv_std`), widened for the concrete three-op rounding.
-pub(crate) fn batchnorm(bn: &BatchNormSpec<'_>, b: &Bounds, plane: usize) -> Bounds {
+fn batchnorm(bn: &BatchNormSpec<'_>, b: &Bounds, plane: usize) -> Bounds {
     let c = bn.gamma.len();
     assert_eq!(b.len(), c * plane, "batchnorm input size mismatch");
     let mut lo = vec![0.0f64; b.len()];
@@ -269,13 +252,7 @@ pub(crate) fn batchnorm(bn: &BatchNormSpec<'_>, b: &Bounds, plane: usize) -> Bou
 /// DenseNet-block transfer: per stage, conv over the accumulated state,
 /// exact ReLU, then channel concatenation (widthwise append — spatial
 /// dims are preserved by the block's padded convolutions).
-pub(crate) fn dense_block(
-    stages: &[ConvSpec<'_>],
-    b: &Bounds,
-    growth: usize,
-    h: usize,
-    w: usize,
-) -> Bounds {
+fn dense_block(stages: &[ConvSpec<'_>], b: &Bounds, growth: usize, h: usize, w: usize) -> Bounds {
     let mut state = b.clone();
     for st in stages {
         assert_eq!(
@@ -294,65 +271,6 @@ pub(crate) fn dense_block(
         state.hi.extend_from_slice(&feat.hi);
     }
     state
-}
-
-/// Monotone softmax bounds over a logits box: `p_j = 1 / (1 + sum_{k!=j}
-/// exp(x_k - x_j))` is increasing in `x_j` and decreasing in every other
-/// coordinate, so evaluating at the box corners is exact in real
-/// arithmetic; a small absolute widening covers the concrete `f32`
-/// softmax rounding. Softmax is applied *outside* the plan (plans end at
-/// logits), hence a standalone function rather than a `LayerSpec` arm.
-pub fn softmax_bounds(logits: &Bounds) -> Bounds {
-    let c = logits.len();
-    assert!(c > 0, "empty logits box");
-    let eps = (c as f64 + 16.0) * EPS32;
-    let mut lo = vec![0.0f64; c];
-    let mut hi = vec![0.0f64; c];
-    for j in 0..c {
-        let mut den_hi = 1.0f64;
-        let mut den_lo = 1.0f64;
-        for k in 0..c {
-            if k == j {
-                continue;
-            }
-            den_hi += (logits.hi[k] - logits.lo[j]).exp();
-            den_lo += (logits.lo[k] - logits.hi[j]).exp();
-        }
-        lo[j] = (1.0 / den_hi - eps).max(0.0);
-        hi[j] = (1.0 / den_lo + eps).min(1.0);
-    }
-    Bounds { lo, hi }
-}
-
-/// Margin by which the certified class's logit lower bound must clear
-/// every rival's upper bound. The gap makes the argmax decision robust
-/// to the concrete `f32` softmax/argmax arithmetic (two logits at least
-/// this far apart cannot round to equal probabilities, so the plan's
-/// first-wins argmax provably agrees).
-pub const CERT_MARGIN: f64 = 1e-4;
-
-/// The label the plan provably assigns to *every* input in the region
-/// the box was propagated from, or `None` when no class dominates.
-///
-/// A class `j` is certified when `lo_j > hi_k + CERT_MARGIN` for every
-/// rival `k`; only the argmax of the lower bounds can satisfy this, so
-/// the check is complete as well as sound.
-pub fn certified_label(logits: &Bounds) -> Option<usize> {
-    if logits.is_empty() {
-        return None;
-    }
-    let mut best = 0usize;
-    for j in 1..logits.len() {
-        if logits.lo[j] > logits.lo[best] {
-            best = j;
-        }
-    }
-    for k in 0..logits.len() {
-        if k != best && logits.lo[best] <= logits.hi[k] + CERT_MARGIN {
-            return None;
-        }
-    }
-    Some(best)
 }
 
 #[cfg(test)]
@@ -413,25 +331,5 @@ mod tests {
         let out = dense(&d, &b);
         assert!(out.lo[0] <= -1.0 + 1e-6 && out.lo[0] > -1.1);
         assert!(out.hi[0] >= 1.0 - 1e-6 && out.hi[0] < 1.1);
-    }
-
-    #[test]
-    fn softmax_bounds_contain_point_softmax_and_sum_to_one_band() {
-        let logits = Bounds::from_f32(&[1.0, 0.0, -1.0], &[1.0, 0.0, -1.0]);
-        let p = softmax_bounds(&logits);
-        let z = 1.0f64.exp() + 1.0 + (-1.0f64).exp();
-        let exact = [1.0f64.exp() / z, 1.0 / z, (-1.0f64).exp() / z];
-        for (j, &e) in exact.iter().enumerate() {
-            assert!(p.lo[j] <= e && e <= p.hi[j], "class {j}");
-            assert!(p.hi[j] - p.lo[j] < 1e-4, "near-tight at a point");
-        }
-    }
-
-    #[test]
-    fn certified_label_requires_strict_dominance() {
-        let win = Bounds::from_f32(&[3.0, -1.0], &[4.0, 1.0]);
-        assert_eq!(certified_label(&win), Some(0));
-        let overlap = Bounds::from_f32(&[3.0, -1.0], &[4.0, 3.5]);
-        assert_eq!(certified_label(&overlap), None);
     }
 }

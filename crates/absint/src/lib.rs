@@ -13,20 +13,9 @@
 //! `f32` kernels, not just real arithmetic (the soundness property
 //! suite enforces zero violations).
 //!
-//! On top of the boxes:
-//!
-//! - [`certified_label`] proves label stability: if one class's logit
-//!   lower bound clears every rival's upper bound, the plan classifies
-//!   *every* input in the region identically — the certificate behind
-//!   dv-eval's grid-search pruning and the `BoundsDetector` clip.
-//! - [`softmax_bounds`] turns a logits box into certified confidence
-//!   bounds via monotone endpoint evaluation (softmax runs outside the
-//!   plan, so it is a standalone function, not a `LayerSpec` arm).
-//! - With the `zonotope` feature, [`propagate_zonotope`] runs an
-//!   affine-form domain as a product over the intervals: exact affine
-//!   transfers preserve input correlations, DeepZ ReLU handles the
-//!   nonlinearity, and the per-op meet keeps the result within the
-//!   interval bounds by construction.
+//! The one consumer is `dv_detectors::BoundsDetector`, which clips its
+//! calibrated per-class boxes to the reachable set [`propagate`]
+//! computes over the whole input domain `[0, 1]^D`.
 //!
 //! The analysis is `&self`-only over the shared plan, allocation-heavy
 //! but read-only: a pure function of (plan parameters, input region),
@@ -60,10 +49,6 @@
 
 mod bounds;
 mod interval;
-#[cfg(feature = "zonotope")]
-mod zonotope;
 
 pub use bounds::Bounds;
-pub use interval::{certified_label, propagate, softmax_bounds, Propagation, CERT_MARGIN};
-#[cfg(feature = "zonotope")]
-pub use zonotope::propagate_zonotope;
+pub use interval::{propagate, Propagation};

@@ -1,12 +1,11 @@
 //! Soundness property suite: for random plans × random inputs × random
 //! perturbation boxes, every concrete tapped activation (and the logits
-//! row) lies inside the propagated box at every probe point; where the
-//! zonotope domain also runs, its bounds are contained in the interval
-//! bounds; and propagation is a bit-identical pure function (the CI
-//! matrix re-runs this suite under `DV_THREADS=1`, so pool width cannot
-//! leak into either the concrete or the abstract side).
+//! row) lies inside the propagated box at every probe point; and
+//! propagation is a bit-identical pure function (the CI matrix re-runs
+//! this suite under `DV_THREADS=1`, so pool width cannot leak into
+//! either the concrete or the abstract side).
 
-use dv_absint::{certified_label, propagate, softmax_bounds, Bounds};
+use dv_absint::{propagate, Bounds};
 use dv_nn::layers::{Conv2d, Dense, Flatten, MaxPool2, Relu};
 use dv_nn::layers_extra::{BatchNorm2d, DenseBlock, Dropout};
 use dv_nn::Network;
@@ -113,7 +112,6 @@ fn concrete_taps_lie_inside_propagated_boxes() {
 
         let prop = propagate(&plan, &lo, &hi);
         assert_eq!(prop.taps.len(), plan.num_probes());
-        assert_eq!(prop.op_mean_widths.len(), plan.num_ops());
 
         let mut item_dims = vec![1usize];
         item_dims.extend(&dims);
@@ -131,65 +129,6 @@ fn concrete_taps_lie_inside_propagated_boxes() {
                 &prop.logits,
                 out.logits(),
                 &format!("trial {trial} pt {p} logits"),
-            );
-            // Softmax bounds enclose the concrete probabilities too.
-            let probs = plan.predict(&t, &mut ws);
-            let pb = softmax_bounds(&prop.logits);
-            assert_inside(&pb, probs.data(), &format!("trial {trial} pt {p} softmax"));
-        }
-    }
-}
-
-#[cfg(feature = "zonotope")]
-#[test]
-fn zonotope_is_sound_and_inside_interval() {
-    use dv_absint::propagate_zonotope;
-    let mut ws = Workspace::new();
-    for trial in 0..12u64 {
-        let (net, dims) = random_net(trial as usize, 2000 + trial);
-        let plan = net.plan();
-        let taps: Vec<usize> = (0..plan.num_probes()).collect();
-        let mut rng = StdRng::seed_from_u64(9000 + trial);
-        let item: usize = dims.iter().product();
-        let x: Vec<f32> = (0..item).map(|_| rng.gen::<f32>()).collect();
-        let (lo, hi) = random_box(&mut rng, &x, 0.05);
-
-        let ip = propagate(&plan, &lo, &hi);
-        let zp = propagate_zonotope(&plan, &lo, &hi);
-
-        // Zonotope bounds are contained in interval bounds (the product
-        // domain meets with the interval transfer at every op).
-        let pairs = ip
-            .taps
-            .iter()
-            .zip(&zp.taps)
-            .chain(std::iter::once((&ip.logits, &zp.logits)));
-        for (ib, zb) in pairs {
-            assert_eq!(ib.len(), zb.len());
-            for i in 0..ib.len() {
-                let tol = 1e-9 * (1.0 + ib.lo[i].abs() + ib.hi[i].abs());
-                assert!(zb.lo[i] >= ib.lo[i] - tol, "zonotope lo below interval");
-                assert!(zb.hi[i] <= ib.hi[i] + tol, "zonotope hi above interval");
-            }
-        }
-
-        // And the zonotope bounds are themselves sound.
-        let mut item_dims = vec![1usize];
-        item_dims.extend(&dims);
-        for pt in sample_points(&mut rng, &lo, &hi, 5) {
-            let t = Tensor::from_vec(pt, &item_dims);
-            let out = plan.forward_probed_into(&t, &taps, &mut ws);
-            for (v, tap_bounds) in zp.taps.iter().enumerate() {
-                assert_inside(
-                    tap_bounds,
-                    out.probe(v),
-                    &format!("zono trial {trial} tap {v}"),
-                );
-            }
-            assert_inside(
-                &zp.logits,
-                out.logits(),
-                &format!("zono trial {trial} logits"),
             );
         }
     }
@@ -213,37 +152,4 @@ fn propagation_is_a_pure_function() {
             .collect()
     };
     assert_eq!(key(&a), key(&b), "propagation must be bit-identical");
-}
-
-#[test]
-fn certified_label_implies_stable_concrete_classification() {
-    let (net, dims) = random_net(0, 77);
-    let plan = net.plan();
-    let item: usize = dims.iter().product();
-    let mut rng = StdRng::seed_from_u64(13);
-    let x: Vec<f32> = (0..item).map(|_| rng.gen::<f32>()).collect();
-
-    // Shrink the radius until the region certifies (a tiny box around a
-    // point almost always does — the bounds are near-tight there).
-    let mut ws = Workspace::new();
-    let mut radius = 0.02f32;
-    let mut certified = None;
-    for _ in 0..12 {
-        let lo: Vec<f32> = x.iter().map(|v| v - radius).collect();
-        let hi: Vec<f32> = x.iter().map(|v| v + radius).collect();
-        let prop = propagate(&plan, &lo, &hi);
-        if let Some(label) = certified_label(&prop.logits) {
-            certified = Some((label, lo, hi));
-            break;
-        }
-        radius *= 0.5;
-    }
-    let (label, lo, hi) = certified.expect("a shrinking box must eventually certify");
-    let mut item_dims = vec![1usize];
-    item_dims.extend(&dims);
-    for pt in sample_points(&mut rng, &lo, &hi, 16) {
-        let t = Tensor::from_vec(pt, &item_dims);
-        let (pred, _conf) = plan.classify(&t, &mut ws);
-        assert_eq!(pred, label, "certified label must match concrete argmax");
-    }
 }

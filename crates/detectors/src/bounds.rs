@@ -255,6 +255,32 @@ mod tests {
     }
 
     #[test]
+    fn boxes_lie_inside_the_reachable_set() {
+        let (net, images, labels) = fixture();
+        let plan = net.plan();
+        let reach = propagate(&plan, &[0.0f32; 36], &[1.0f32; 36]);
+        // The large margin pads boxes past the reachable set on both sides.
+        for margin in [0.1, 1e3] {
+            let det = BoundsDetector::fit(&plan, &images, &labels, &[0, 1], margin);
+            for (t, per_class) in det.boxes.iter().enumerate() {
+                let rb = &reach.taps[det.taps[t]];
+                for b in per_class.iter().flatten() {
+                    let inside = (0..b.lo.len())
+                        .all(|i| b.lo[i] >= rb.lo[i] as f32 && b.hi[i] <= rb.hi[i] as f32);
+                    assert!(
+                        inside,
+                        "margin {margin}: a tap-{t} box leaves the reachable set"
+                    );
+                }
+            }
+            // Tap 0 follows a ReLU: no padded box may reach below zero.
+            for b in det.boxes[0].iter().flatten() {
+                assert!(b.lo.iter().all(|&v| v >= 0.0), "ReLU tap box below zero");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "no correctly classified")]
     fn fit_rejects_all_wrong_labels() {
         let (net, images, labels) = fixture();

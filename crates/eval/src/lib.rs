@@ -7,9 +7,6 @@
 //!   iterate each transformation's parameter grid with growing strength,
 //!   stop when the classifier's success (error) rate reaches ~60%,
 //!   discard transformations that never exceed 30%.
-//! - [`pruned`]: the same grid search with certified cell pruning —
-//!   cells `dv-absint` proves label-stable over their whole parameter
-//!   region are skipped, bit-identically to the full walk.
 //! - [`evalset`]: evaluation-set assembly — clean images plus synthesized
 //!   corner cases, split into successful (SCC) and failed (FCC) corner
 //!   cases by whether the model misclassifies them (Section IV-D1).
@@ -24,12 +21,10 @@ pub mod auc;
 pub mod evalset;
 pub mod hist;
 pub mod pr;
-pub mod pruned;
 pub mod search;
 pub mod table;
 
 pub use auc::{centroid_threshold, detection_rate, roc_auc, threshold_at_fpr};
 pub use evalset::{CornerCase, EvaluationSet};
 pub use pr::{average_precision, pr_curve, PrPoint};
-pub use pruned::{pruned_grid_search_with_plan, PruneStats};
 pub use search::{grid_search_with_plan, SearchOutcome, SearchSpace};

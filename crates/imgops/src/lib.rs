@@ -15,11 +15,6 @@
 //! zero (black) out-of-bounds fill; rotation, shear and scale are anchored
 //! at the image center, matching how the paper's examples look (Fig. 2).
 //!
-//! The pixel-value transforms additionally expose *exact parameter-interval
-//! images* ([`interval`]): pixel-wise boxes enclosing every output the
-//! transform can produce over a parameter range, consumed by the
-//! `dv-absint` certified grid-search pruner.
-//!
 //! # Examples
 //!
 //! ```
@@ -37,12 +32,10 @@
 #![warn(missing_docs)]
 
 pub mod affine;
-pub mod interval;
 pub mod occlude;
 pub mod transform;
 pub mod warp;
 
 pub use affine::Affine;
-pub use interval::{brightness_interval, complement_interval, contrast_interval, PixelBox};
 pub use occlude::{occlude, occlude_center_fraction};
 pub use transform::{Transform, TransformKind};

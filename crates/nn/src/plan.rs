@@ -99,7 +99,7 @@ pub struct BatchNormSpec<'a> {
 }
 
 /// Structural description of one plan op, exposed so static analyzers
-/// (dv-absint's interval/zonotope propagation) can interpret the frozen
+/// (dv-absint's interval propagation) can interpret the frozen
 /// plan without reaching into op internals.
 ///
 /// The enum is deliberately exhaustive: adding a plan-op kind must force

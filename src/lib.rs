@@ -23,7 +23,7 @@
 //! | [`imgops`] | metamorphic image transformations |
 //! | [`ocsvm`] | ν one-class SVM with an SMO solver |
 //! | [`core`] | Deep Validation itself |
-//! | [`absint`] | interval/zonotope abstract interpretation over the inference plan |
+//! | [`absint`] | interval abstract interpretation over the inference plan |
 //! | [`serve`] | fault-tolerant scoring frontend: deadlines, backpressure, degradation |
 //! | [`detectors`] | feature-squeezing and KDE baselines |
 //! | [`attacks`] | FGSM, BIM, JSMA, CW white-box attacks |
