@@ -201,10 +201,6 @@ fn serve_phase(
         workers: 1,
         queue_capacity: 64,
         deadline: Duration::from_secs(5),
-        // Serialized one-at-a-time traffic: coalescing would never
-        // trigger anyway, so pin it off to keep this report's serving
-        // path identical across batching changes.
-        max_batch: 1,
         shutdown: ShutdownPolicy::Drain,
         reduced_taps: 1,
         breaker: Some(BreakerConfig {

@@ -11,15 +11,15 @@
 //! readings its `total_us` is computed from. The run fails if a single
 //! audited request does not reconcile, which is the end-to-end proof
 //! that the lifecycle events land where the latency actually went —
-//! including through crashes, retries, and respawned workers.
+//! including through crashes and respawned workers.
 //!
-//! - **batched** phase: the `serve_soak` fault regime (injected worker
-//!   panics + latency spikes) against the coalescing batch path, where
-//!   every response is full-joint and the tail comes from queueing.
-//! - **pressured** phase: injection off, one worker, `max_batch = 1`,
-//!   and a deadline tight enough that each bursty wave drains across
-//!   the degrade ladder's decision windows — so the per-[`ServedVia`]
-//!   breakdown gets real reduced/confidence rows, not just full-joint.
+//! - **faulted** phase: the `serve_soak` fault regime (injected worker
+//!   panics + latency spikes), where every response is full-joint and
+//!   the tail comes from queueing.
+//! - **pressured** phase: injection off, one worker, and a deadline
+//!   tight enough that each bursty wave drains across the degrade
+//!   ladder's decision windows — so the per-[`ServedVia`] breakdown gets
+//!   real reduced/confidence rows, not just full-joint.
 //!
 //! The report breaks the decomposition down per [`ServedVia`] rung and
 //! records the latency histogram's p99/p999 exemplar trace ids, each of
@@ -253,7 +253,7 @@ fn main() {
         );
         std::process::exit(2);
     }
-    let batched_requests: u64 = if quick { 400 } else { 4000 };
+    let faulted_requests: u64 = if quick { 400 } else { 4000 };
     let pressured_requests: u64 = if quick { 64 } else { 384 };
 
     let (net, images, labels) = stripe_fixture();
@@ -269,13 +269,12 @@ fn main() {
         seed: 0xD5,
     };
 
-    // ---- Phase 1: batched fault soak (the serve_soak regime). ------
+    // ---- Phase 1: fault soak (the serve_soak regime). ---------------
     let queue_capacity = 128usize;
     let cfg = ServeConfig {
         workers: 2,
         queue_capacity,
         deadline: Duration::from_millis(20),
-        max_batch: 8,
         shutdown: ShutdownPolicy::Drain,
         reduced_taps: 1,
         breaker: None,
@@ -293,21 +292,21 @@ fn main() {
 
     dv_trace::reset();
     let t0 = dv_trace::Stopwatch::start();
-    let batched = soak(
+    let faulted = soak(
         &server,
         &images,
         &retry,
         queue_capacity,
-        batched_requests,
+        faulted_requests,
         200,
     );
     // Tail exemplars live in this server's latency histogram; resolve
     // them against this phase's timelines before the server goes away.
     let p99_trace = server.latency_exemplar(0.99);
     let p999_trace = server.latency_exemplar(0.999);
-    let p99_resolved = batched.timelines.contains_key(&p99_trace);
-    let p999_resolved = batched.timelines.contains_key(&p999_trace);
-    let p99_events: Vec<&str> = batched
+    let p99_resolved = faulted.timelines.contains_key(&p99_trace);
+    let p999_resolved = faulted.timelines.contains_key(&p999_trace);
+    let p99_events: Vec<&str> = faulted
         .timelines
         .get(&p99_trace)
         .map(|tl| tl.events.iter().map(|e| e.name).collect())
@@ -316,32 +315,30 @@ fn main() {
     assert_eq!(
         m1.terminal_outcomes(),
         m1.submitted,
-        "batched-phase accounting does not balance"
+        "faulted-phase accounting does not balance"
     );
 
     // ---- Phase 2: deadline pressure against the degrade ladder. ----
-    // One worker, no coalescing, no injection: each 64-request burst
-    // drains serially, so pick-up times sweep across the remaining
-    // deadline budget and successive requests cross the full → reduced
-    // → confidence decision windows one by one. The decision window is
-    // only ~2× the single-image score cost wide, so the deadline is
-    // swept across a small ladder to make the crossing robust to drain
-    // speed; the tail of each burst past the deadline expires, which is
-    // the honest price of the pressure. This is what populates the
-    // non-full rows of the per-via breakdown.
+    // One worker, no injection: each 64-request burst drains serially,
+    // so pick-up times sweep across the remaining deadline budget and
+    // successive requests cross the full → reduced → confidence
+    // decision windows one by one. The decision window is only ~2× the
+    // single-image score cost wide, so the deadline is swept across a
+    // small ladder to make the crossing robust to drain speed; the tail
+    // of each burst past the deadline expires, which is the honest
+    // price of the pressure. This is what populates the non-full rows
+    // of the per-via breakdown.
     let deadlines_us: &[u64] = if quick { &[750] } else { &[500, 750, 1_000] };
     let per_deadline = pressured_requests / deadlines_us.len() as u64;
     let mut pressured_phases: Vec<SoakOut> = Vec::new();
     let mut m2_expired = 0u64;
     let mut m2_crashes = 0u64;
-    let mut m2_retried = 0u64;
     let mut m2_rejected = 0u64;
     for &deadline_us in deadlines_us {
         let cfg2 = ServeConfig {
             workers: 1,
             queue_capacity: 64,
             deadline: Duration::from_micros(deadline_us),
-            max_batch: 1,
             shutdown: ShutdownPolicy::Drain,
             reduced_taps: 1,
             breaker: None,
@@ -358,7 +355,6 @@ fn main() {
         );
         m2_expired += m2.expired;
         m2_crashes += m2.worker_crashes;
-        m2_retried += m2.batch_retried;
         m2_rejected += m2.rejected_queue_full;
         pressured_phases.push(out);
     }
@@ -377,21 +373,21 @@ fn main() {
         missing_timeline: 0,
         worst_gap_ns: 0,
     };
-    audit_phase(&batched, sampled_all, &mut totals);
+    audit_phase(&faulted, sampled_all, &mut totals);
     for phase in &pressured_phases {
         audit_phase(phase, sampled_all, &mut totals);
     }
 
-    let requests = batched_requests + per_deadline * deadlines_us.len() as u64;
+    let requests = faulted_requests + per_deadline * deadlines_us.len() as u64;
     let submitted_total =
-        batched.submitted + pressured_phases.iter().map(|p| p.submitted).sum::<u64>();
-    let audited_total = (batched.audited.len()
+        faulted.submitted + pressured_phases.iter().map(|p| p.submitted).sum::<u64>();
+    let audited_total = (faulted.audited.len()
         + pressured_phases
             .iter()
             .map(|p| p.audited.len())
             .sum::<usize>()) as u64;
-    let failed = batched.failed + pressured_phases.iter().map(|p| p.failed).sum::<u64>();
-    let waves = batched.waves + pressured_phases.iter().map(|p| p.waves).sum::<u64>();
+    let failed = faulted.failed + pressured_phases.iter().map(|p| p.failed).sum::<u64>();
+    let waves = faulted.waves + pressured_phases.iter().map(|p| p.waves).sum::<u64>();
     let auditable = audited_total - totals.missing_timeline;
     let pass_ratio = if auditable == 0 {
         0.0
@@ -436,7 +432,7 @@ fn main() {
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"quick\": {quick},\n"));
     json.push_str(&format!("  \"requests\": {requests},\n"));
-    json.push_str(&format!("  \"batched_requests\": {batched_requests},\n"));
+    json.push_str(&format!("  \"faulted_requests\": {faulted_requests},\n"));
     json.push_str(&format!(
         "  \"pressured_requests\": {pressured_requests},\n"
     ));
@@ -451,10 +447,6 @@ fn main() {
     json.push_str(&format!(
         "  \"worker_crashes\": {},\n",
         m1.worker_crashes + m2_crashes
-    ));
-    json.push_str(&format!(
-        "  \"batch_retried\": {},\n",
-        m1.batch_retried + m2_retried
     ));
     json.push_str(&format!("  \"expired\": {},\n", m1.expired + m2_expired));
     json.push_str(&format!(

@@ -1,5 +1,5 @@
 //! Fault-injection soak harness for the dv-serve frontend. Writes
-//! `BENCH_serving.json` with four phases:
+//! `BENCH_serving.json` with three phases:
 //!
 //! - **identity**: with injection disabled and a generous deadline,
 //!   every served response must be bit-identical to the direct
@@ -10,19 +10,14 @@
 //!   latency spikes, and client-side NaN poisoning, with the client
 //!   riding `RetryPolicy` backoff off the `QueueFull { retry_after }`
 //!   hint; asserts zero lost or hung requests (every outcome terminal,
-//!   accounting exact through mid-batch crash retries) and that
-//!   coalescing plus backoff cut rejections ≥10x from the seed's 831.
-//! - **batch sweep**: the headline artifact — rejected / served /
-//!   throughput at each `max_batch` × offered-load point, on the seed's
-//!   32-slot queue so `max_batch = 1` reproduces the seed's rejection
-//!   regime and wider batches show queue depth turning into batch size.
+//!   accounting exact through every crash) and that backoff keeps
+//!   rejections ≥10x below the seed's 831.
 //! - **deadline sweep**: degrade-rate vs deadline curve with injection
 //!   off — how the full/reduced/confidence rung mix shifts as the
 //!   per-request deadline tightens.
 //!
-//! `--quick` shrinks the request counts and the batch sweep to a
-//! 2-point smoke for CI; the rejection-reduction assert scales with the
-//! offered load so it gates both modes.
+//! `--quick` shrinks the request counts for CI; the rejection-reduction
+//! assert scales with the offered load so it gates both modes.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -56,7 +51,6 @@ fn base_cfg() -> ServeConfig {
         workers: 2,
         queue_capacity: 64,
         deadline: Duration::from_secs(1),
-        max_batch: 8,
         shutdown: ShutdownPolicy::Drain,
         reduced_taps: 1,
         faults: None,
@@ -157,8 +151,8 @@ struct SoakReport {
 
 /// Phase B: sustained stream under injected panics, latency spikes and
 /// client-side NaN poisoning. Every accepted request must resolve to a
-/// terminal outcome; the counter accounting must be exact — including
-/// batch members that crashed mid-batch and were retried singly.
+/// terminal outcome; the counter accounting must be exact, crashes
+/// included.
 ///
 /// The client honors backpressure with [`RetryPolicy`]: `retry_after`
 /// is the server's per-slot drain estimate, so on a rejection the
@@ -258,96 +252,6 @@ fn phase_soak(
     }
 }
 
-struct BatchPoint {
-    max_batch: usize,
-    load: u64,
-    submitted: u64,
-    rejected: u64,
-    served: u64,
-    expired: u64,
-    batches: u64,
-    coalesced: u64,
-    wall_s: f64,
-    throughput_rps: f64,
-}
-
-/// Headline artifact: the batch size × offered load grid, injection
-/// off, on the *seed's* 32-slot queue and impatient bounded-retry
-/// client (fixed 200µs naps, no drain-rate hint) — so the
-/// `max_batch = 1` column reproduces the seed's rejection regime and
-/// the only variable across a row is how fast coalescing turns queue
-/// depth back into capacity.
-fn phase_batch_sweep(
-    validator: &Arc<DeepValidator>,
-    plan: &Arc<InferencePlan>,
-    images: &[Tensor],
-    batches: &[usize],
-    loads: &[u64],
-) -> Vec<BatchPoint> {
-    let mut points = Vec::new();
-    for &load in loads {
-        for &max_batch in batches {
-            let mut cfg = base_cfg();
-            cfg.queue_capacity = 32;
-            cfg.deadline = Duration::from_millis(20);
-            cfg.max_batch = max_batch;
-            let server = Server::start(Arc::clone(validator), Arc::clone(plan), cfg);
-            let t0 = dv_trace::Stopwatch::start();
-            let mut pendings = Vec::new();
-            for i in 0..load {
-                let img = images[(i as usize) % images.len()].clone();
-                let mut attempt = 0;
-                loop {
-                    match server.try_submit(img.clone()) {
-                        Ok(p) => {
-                            pendings.push(p);
-                            break;
-                        }
-                        Err(Rejected::QueueFull { .. }) if attempt < 50 => {
-                            attempt += 1;
-                            std::thread::sleep(Duration::from_micros(200));
-                        }
-                        Err(_) => break,
-                    }
-                }
-            }
-            for pending in pendings {
-                let _ = pending.wait_timeout(Duration::from_secs(10));
-            }
-            let wall_s = t0.elapsed_secs_f64();
-            let m = server.shutdown();
-            assert_eq!(
-                m.terminal_outcomes(),
-                m.submitted,
-                "batch sweep point (max_batch {max_batch}, load {load}) lost requests"
-            );
-            points.push(BatchPoint {
-                max_batch,
-                load,
-                submitted: m.submitted,
-                rejected: m.rejected_queue_full,
-                served: m.served(),
-                expired: m.expired,
-                batches: m.batches,
-                coalesced: m.coalesced,
-                wall_s,
-                throughput_rps: m.served() as f64 / wall_s.max(1e-9),
-            });
-            eprintln!(
-                "  batch {max_batch:>2} x load {load:>5}: {} served, {} rejected, \
-                 {} expired, {} batches ({} coalesced), {:.0} req/s",
-                m.served(),
-                m.rejected_queue_full,
-                m.expired,
-                m.batches,
-                m.coalesced,
-                m.served() as f64 / wall_s.max(1e-9),
-            );
-        }
-    }
-    points
-}
-
 struct SweepPoint {
     deadline_us: u64,
     submitted: u64,
@@ -423,15 +327,7 @@ fn main() {
     eprintln!("phase B: soak ({soak_requests} requests under injected faults)");
     let soak = phase_soak(&validator, &plan, &images, soak_requests);
 
-    eprintln!("phase C: batch size x offered load sweep");
-    let (batch_grid, load_grid): (&[usize], &[u64]) = if quick {
-        (&[1, 8], &[soak_requests])
-    } else {
-        (&[1, 4, 8, 16], &[1000, soak_requests])
-    };
-    let batch_sweep = phase_batch_sweep(&validator, &plan, &images, batch_grid, load_grid);
-
-    eprintln!("phase D: deadline sweep ({sweep_requests} requests per deadline)");
+    eprintln!("phase C: deadline sweep ({sweep_requests} requests per deadline)");
     let sweep = phase_sweep(&validator, &plan, &images, sweep_requests);
 
     let s = &soak.snapshot;
@@ -449,10 +345,6 @@ fn main() {
         s.requests_crashed,
         s.worker_respawns,
         s.rejected_queue_full,
-    );
-    eprintln!(
-        "  coalescing: {} batches covering {} requests, {} crash-parked retries",
-        s.batches, s.coalesced, s.batch_retried,
     );
     eprintln!(
         "  latency p50/p95/p99: {}/{}/{} us; recovery mean/max: {:.0}/{} us ({} recoveries)",
@@ -488,9 +380,6 @@ fn main() {
         "    \"requests_crashed\": {},\n",
         s.requests_crashed
     ));
-    json.push_str(&format!("    \"batches\": {},\n", s.batches));
-    json.push_str(&format!("    \"coalesced\": {},\n", s.coalesced));
-    json.push_str(&format!("    \"batch_retried\": {},\n", s.batch_retried));
     json.push_str(&format!(
         "    \"worker_respawns\": {},\n",
         s.worker_respawns
@@ -514,28 +403,6 @@ fn main() {
     ));
     json.push_str(&format!("    \"lost_or_hung\": {}\n", soak.lost_or_hung));
     json.push_str("  },\n");
-    json.push_str("  \"batch_sweep\": [\n");
-    for (i, p) in batch_sweep.iter().enumerate() {
-        let mean_batch = p.coalesced as f64 / (p.batches.max(1)) as f64;
-        json.push_str(&format!(
-            "    {{\"max_batch\": {}, \"load\": {}, \"submitted\": {}, \"rejected\": {}, \
-             \"served\": {}, \"expired\": {}, \"batches\": {}, \"coalesced\": {}, \
-             \"mean_batch\": {:.2}, \"wall_s\": {:.3}, \"throughput_rps\": {:.0}}}{}\n",
-            p.max_batch,
-            p.load,
-            p.submitted,
-            p.rejected,
-            p.served,
-            p.expired,
-            p.batches,
-            p.coalesced,
-            mean_batch,
-            p.wall_s,
-            p.throughput_rps,
-            if i + 1 < batch_sweep.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
     json.push_str("  \"deadline_sweep\": [\n");
     for (i, p) in sweep.iter().enumerate() {
         let served = (p.full + p.reduced + p.confidence).max(1) as f64;

@@ -81,33 +81,49 @@ pub struct Experiment {
     pub model_stats: EvalStats,
     /// The sizes used.
     pub sizes: Sizes,
+    /// Cache key prefix of everything computed from the model (see
+    /// [`with_model`](Self::with_model)).
+    cache_prefix: String,
+}
+
+/// Cache key of the trained model: the dataset and size profile, so
+/// fast-profile runs (DV_FAST) never collide with full-scale caches.
+fn model_cache_name(spec: DatasetSpec, sizes: Sizes) -> String {
+    format!(
+        "{}-{}x{}e{}",
+        spec.name(),
+        sizes.n_train,
+        sizes.n_test,
+        sizes.epochs
+    )
+}
+
+/// FNV-1a over the network's layer layout and every trainable
+/// parameter bit, so two models share a fingerprint only when their
+/// layers and parameters match bit for bit.
+fn model_fingerprint(net: &mut Network) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    eat(format!("{net:?}").as_bytes());
+    for (param, _) in net.params_and_grads() {
+        for x in param.data() {
+            eat(&x.to_bits().to_le_bytes());
+        }
+    }
+    h
 }
 
 impl Experiment {
-    /// Cache key prefix incorporating the dataset and size profile, so
-    /// fast-profile runs (DV_FAST) never collide with full-scale caches.
-    fn cache_prefix(&self) -> String {
-        format!(
-            "{}-{}x{}e{}",
-            self.spec.name(),
-            self.sizes.n_train,
-            self.sizes.n_test,
-            self.sizes.epochs
-        )
-    }
-
     /// Generates the dataset and trains (or loads) the model.
     pub fn prepare(spec: DatasetSpec) -> Self {
         let sizes = Sizes::for_spec(spec);
         let dataset = spec.generate(41, sizes.n_train, sizes.n_test);
         let mut net = model_for(spec, 17);
-        let cache_name = format!(
-            "{}-{}x{}e{}",
-            spec.name(),
-            sizes.n_train,
-            sizes.n_test,
-            sizes.epochs
-        );
+        let cache_name = model_cache_name(spec, sizes);
         let hit = model_cached(&cache_dir(), &cache_name, &mut net, |net| {
             eprintln!(
                 "[{}] training model ({} params)...",
@@ -142,8 +158,22 @@ impl Experiment {
         if hit {
             eprintln!("[{}] loaded cached model", spec.name());
         }
+        Self::with_model(spec, dataset, net, sizes)
+    }
+
+    /// Wraps a trained model: compiles its plan, measures it on the test
+    /// split, and keys the caches computed from it (the validator, the
+    /// corner-case search) on its fingerprint. A model retrained over a
+    /// stale checkpoint therefore never reuses results computed for the
+    /// model it replaced.
+    fn with_model(spec: DatasetSpec, dataset: Dataset, mut net: Network, sizes: Sizes) -> Self {
         let plan = net.plan();
         let model_stats = evaluate(&plan, &dataset.test.images, &dataset.test.labels);
+        let cache_prefix = format!(
+            "{}-{:016x}",
+            model_cache_name(spec, sizes),
+            model_fingerprint(&mut net)
+        );
         Self {
             spec,
             dataset,
@@ -151,6 +181,7 @@ impl Experiment {
             plan,
             model_stats,
             sizes,
+            cache_prefix,
         }
     }
 
@@ -205,7 +236,7 @@ impl Experiment {
     /// transformation (paper Section IV-B).
     pub fn search_corner_cases(&self) -> Vec<SearchOutcome> {
         let (seeds, seed_labels) = self.seeds();
-        let cache_name = format!("{}-search", self.cache_prefix());
+        let cache_name = format!("{}-search", self.cache_prefix);
         let spec = self.spec;
         let plan = &self.plan;
         let encoded = tensors_cached(&cache_dir(), &cache_name, || {
@@ -290,7 +321,7 @@ impl Experiment {
 
     /// Fits (or loads) the Deep Validation detector for this model.
     pub fn fit_validator(&self) -> DeepValidator {
-        let cache_name = format!("{}-dv", self.cache_prefix());
+        let cache_name = format!("{}-dv", self.cache_prefix);
         let spec = self.spec;
         let layers = LayerSelection::LastK(validated_layers(spec));
         let net = &self.net;
@@ -503,6 +534,33 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// Results computed from a model are keyed on that model: a model
+    /// that replaced another under the same dataset, sizes and epochs
+    /// (retrained over a checkpoint of another architecture, say) gets a
+    /// cache prefix of its own, so its validator and search results are
+    /// recomputed instead of loaded for the model it replaced.
+    #[test]
+    fn dependent_caches_are_keyed_on_the_model() {
+        let spec = DatasetSpec::SynthDigits;
+        let sizes = Sizes {
+            n_train: 20,
+            n_test: 10,
+            n_seeds: 4,
+            epochs: 1,
+        };
+        let prefix = |model_seed: u64| {
+            let dataset = spec.generate(41, sizes.n_train, sizes.n_test);
+            Experiment::with_model(spec, dataset, model_for(spec, model_seed), sizes).cache_prefix
+        };
+        let (a, b) = (prefix(17), prefix(18));
+        assert_ne!(a, b, "two models must not share dependent caches");
+        assert_eq!(a, prefix(17), "the same model keeps its caches");
+        assert!(
+            a.starts_with(&model_cache_name(spec, sizes)),
+            "{a} names the model's own cache"
+        );
     }
 
     #[test]

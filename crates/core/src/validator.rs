@@ -63,17 +63,15 @@ impl From<FitError> for ValidatorError {
 
 /// Reusable per-worker scratch for the allocation-free scoring path:
 /// the kernel's scratch (inference-plan [`Workspace`], reduced
-/// representation, tap list) plus the staged batch input. After the
-/// first image through a given plan everything is warm and
-/// [`DeepValidator::score_into`] touches the heap zero times.
+/// representation, tap list) plus the stacked input of
+/// [`DeepValidator::score_batch_into`]. After the first image through a
+/// given plan everything is warm and [`DeepValidator::score_into`]
+/// touches the heap zero times.
 #[derive(Debug, Default)]
 pub struct ScoreWorkspace {
     scratch: Scratch,
-    /// Staged batch input: `staged` row-major items back to back, built
-    /// by [`stage_image`](ScoreWorkspace::stage_image) and consumed by
-    /// [`score_staged_into`](DeepValidator::score_staged_into).
+    /// A batch's images, row-major and back to back.
     batch: Vec<f32>,
-    staged: usize,
 }
 
 /// What the scoring kernel writes through on every call.
@@ -100,68 +98,13 @@ impl ScoreWorkspace {
         self.scratch.ws.reset();
         self.scratch.rep.clear();
         self.scratch.taps.clear();
-        self.begin_batch();
+        self.batch.clear();
     }
 
     /// Read-only view of the underlying activation arena (diagnostics
     /// and tests; the serving path never needs it).
     pub fn workspace(&self) -> &Workspace {
         &self.scratch.ws
-    }
-
-    /// Clears the staged batch (keeping capacity), starting a new one.
-    pub fn begin_batch(&mut self) {
-        self.batch.clear();
-        self.staged = 0;
-    }
-
-    /// Validates `image` against `plan` and appends it to the staged
-    /// batch. Staging is deliberately separate from scoring so a server
-    /// can copy every request's pixels out *before* parking the requests
-    /// for crash recovery — the batch then scores from this buffer
-    /// without touching the parked jobs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScoreError::BadInput`] (and stages nothing) if the image
-    /// shape does not match the plan input or a pixel is non-finite.
-    pub fn stage_image(&mut self, plan: &InferencePlan, image: &Tensor) -> Result<(), ScoreError> {
-        validate_plan_input(plan, image)?;
-        self.batch.extend_from_slice(image.data());
-        self.staged += 1;
-        Ok(())
-    }
-
-    /// Starts a new batch and stages every image of `images`, stopping
-    /// at the first malformed one.
-    fn stage_all(&mut self, plan: &InferencePlan, images: &[Tensor]) -> Result<(), ScoreError> {
-        self.begin_batch();
-        images
-            .iter()
-            .try_for_each(|image| self.stage_image(plan, image))
-    }
-
-    /// Number of images currently staged.
-    pub fn staged(&self) -> usize {
-        self.staged
-    }
-
-    /// Pre-sizes every buffer for batches of up to `max_batch` images
-    /// through `plan`: the staging buffer and the activation arena grow
-    /// once, here, instead of mid-flight on the first full-sized batch.
-    pub fn reserve_for_batch(&mut self, plan: &InferencePlan, max_batch: usize) {
-        let b = max_batch.max(1);
-        let item: usize = plan.input_dims().iter().product();
-        let widest = (0..plan.num_ops())
-            .map(|i| plan.op_out_dims(i).iter().product::<usize>())
-            .max()
-            .unwrap_or(item)
-            .max(item);
-        let want = b * item;
-        if self.batch.capacity() < want {
-            self.batch.reserve(want - self.batch.len());
-        }
-        self.scratch.ws.reserve_acts(b * widest);
     }
 }
 
@@ -461,20 +404,17 @@ impl DeepValidator {
     }
 
     /// Batched Algorithm 2: scores every image in `images` through one
-    /// stacked forward pass, so the dense layers see a real `m = B` GEMM
-    /// instead of `B` degenerate single-row products. Per image,
-    /// `results` receives `(predicted, confidence)` and `per_layer`
-    /// receives one row of validated-layer discrepancies
-    /// (`per_layer[bi * L + t]` is image `bi`'s tap `t`) — every value
-    /// bit-identical to `B` separate
+    /// stacked forward pass. Per image, `results` receives
+    /// `(predicted, confidence)` and `per_layer` receives one row of
+    /// validated-layer discrepancies (`per_layer[bi * L + t]` is image
+    /// `bi`'s tap `t`) — every value bit-identical to `B` separate
     /// [`score_into`](DeepValidator::score_into) calls, at any
-    /// `DV_THREADS`.
+    /// `DV_THREADS`. `results` and `per_layer` are cleared first.
     ///
     /// # Errors
     ///
     /// Returns [`ScoreError::BadInput`] on the first malformed image;
-    /// nothing is scored. Callers that need per-image error isolation
-    /// should validate before batching (as the serving frontend does).
+    /// nothing is scored.
     pub fn score_batch_into(
         &self,
         plan: &InferencePlan,
@@ -483,57 +423,18 @@ impl DeepValidator {
         results: &mut Vec<(usize, f32)>,
         per_layer: &mut Vec<f32>,
     ) -> Result<(), ScoreError> {
-        sw.stage_all(plan, images)?;
-        self.score_staged_into(plan, None, sw, results, per_layer);
-        Ok(())
-    }
-
-    /// Masked variant of [`score_batch_into`](DeepValidator::score_batch_into):
-    /// every image in the batch is scored over only the validated-probe
-    /// positions in `keep` (the batched analogue of
-    /// [`score_masked_into`](DeepValidator::score_masked_into)), with
-    /// `per_layer` rows of width `keep.len()`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScoreError::BadInput`] on the first malformed image;
-    /// nothing is scored.
-    pub fn score_batch_masked_into(
-        &self,
-        plan: &InferencePlan,
-        images: &[Tensor],
-        keep: &[usize],
-        sw: &mut ScoreWorkspace,
-        results: &mut Vec<(usize, f32)>,
-        per_layer: &mut Vec<f32>,
-    ) -> Result<(), ScoreError> {
-        sw.stage_all(plan, images)?;
-        self.score_staged_into(plan, Some(keep), sw, results, per_layer);
-        Ok(())
-    }
-
-    /// Scores the batch previously staged into `sw` (see
-    /// [`ScoreWorkspace::stage_image`]) over the validated-probe
-    /// positions in `keep` — `None` taps every validated layer, and an
-    /// empty list degrades the whole batch to prediction + confidence.
-    /// `results` and `per_layer` are cleared first; with zero staged
-    /// images both come back empty. Staged inputs were validated at
-    /// staging time, so this path cannot fail — which is what lets a
-    /// serving worker park its requests before calling it.
-    pub fn score_staged_into(
-        &self,
-        plan: &InferencePlan,
-        keep: Option<&[usize]>,
-        sw: &mut ScoreWorkspace,
-        results: &mut Vec<(usize, f32)>,
-        per_layer: &mut Vec<f32>,
-    ) {
+        let ScoreWorkspace { scratch, batch } = sw;
+        batch.clear();
+        for image in images {
+            validate_plan_input(plan, image)?;
+            batch.extend_from_slice(image.data());
+        }
         dv_trace::span!("core.score_batch");
         results.clear();
-        let ScoreWorkspace { scratch, batch, .. } = sw;
-        self.score_flat(plan, batch, keep, scratch, per_layer, |p, c| {
+        self.score_flat(plan, batch, None, scratch, per_layer, |p, c| {
             results.push((p, c));
         });
+        Ok(())
     }
 
     /// The one per-image tap loop behind every scoring entry point.

@@ -1,8 +1,8 @@
 //! Bit-identity between batched and single-image scoring: for every
-//! batch size, mask, and thread count, `score_batch_into` must produce
-//! exactly the bits that B separate `score_into` calls produce. This is
-//! the identity gate the serving coalescer relies on — a batch formed
-//! from queue pressure must be observationally invisible in scores.
+//! batch size and thread count, `score_batch_into` must produce exactly
+//! the bits that B separate `score_into` calls produce — the images
+//! around an image in a stacked forward pass must be invisible in its
+//! scores.
 
 use std::sync::OnceLock;
 
@@ -71,22 +71,13 @@ fn fixture() -> &'static Fixture {
 
 /// Runs `score_into` once per image and returns the concatenated
 /// `(results, per_layer)` a batched call should reproduce bit for bit.
-fn singles_reference(
-    fx: &Fixture,
-    images: &[Tensor],
-    keep: Option<&[usize]>,
-) -> (Vec<(usize, f32)>, Vec<f32>) {
+fn singles_reference(fx: &Fixture, images: &[Tensor]) -> (Vec<(usize, f32)>, Vec<f32>) {
     let mut sw = ScoreWorkspace::new();
     let mut results = Vec::new();
     let mut per_layer = Vec::new();
     let mut row = Vec::new();
     for img in images {
-        let r = match keep {
-            None => fx.validator.score_into(&fx.plan, img, &mut sw, &mut row),
-            Some(keep) => fx
-                .validator
-                .score_masked_into(&fx.plan, img, keep, &mut sw, &mut row),
-        };
+        let r = fx.validator.score_into(&fx.plan, img, &mut sw, &mut row);
         results.push(r.expect("fixture images are well-formed"));
         per_layer.extend_from_slice(&row);
     }
@@ -138,7 +129,7 @@ proptest! {
         let fx = fixture();
         let images = &fx.images[start..start + batch];
         let (want_res, want_pl) =
-            Pool::new(1).install(|| singles_reference(fx, images, None));
+            Pool::new(1).install(|| singles_reference(fx, images));
         let (got_res, got_pl) = Pool::new(threads).install(|| {
             let mut sw = ScoreWorkspace::new();
             let mut results = Vec::new();
@@ -150,42 +141,11 @@ proptest! {
         });
         assert_bits_equal("full", &got_res, &got_pl, &want_res, &want_pl);
     }
-
-    /// Masked scoring: every subset of the validated probes (including
-    /// the empty mask) is batch/single bit-identical at any batch size
-    /// and thread count.
-    #[test]
-    fn batched_masked_scoring_matches_singles(
-        batch in 1usize..=8,
-        start in 0usize..72,
-        mask in 0usize..4,
-        par in 0usize..2,
-    ) {
-        let threads = if par == 0 { 1 } else { 4 };
-        let fx = fixture();
-        let n_probes = fx.validator.num_validated_layers();
-        let keep: Vec<usize> = (0..n_probes).filter(|p| mask & (1 << p) != 0).collect();
-        let images = &fx.images[start..start + batch];
-        let (want_res, want_pl) =
-            Pool::new(1).install(|| singles_reference(fx, images, Some(&keep)));
-        let (got_res, got_pl) = Pool::new(threads).install(|| {
-            let mut sw = ScoreWorkspace::new();
-            let mut results = Vec::new();
-            let mut per_layer = Vec::new();
-            fx.validator
-                .score_batch_masked_into(
-                    &fx.plan, images, &keep, &mut sw, &mut results, &mut per_layer,
-                )
-                .expect("fixture images are well-formed");
-            (results, per_layer)
-        });
-        assert_bits_equal("masked", &got_res, &got_pl, &want_res, &want_pl);
-    }
 }
 
 /// One `ScoreWorkspace` reused across batches of different sizes gives
-/// the same bits as a fresh workspace per batch: batch staging leaves
-/// no state behind.
+/// the same bits as a fresh workspace per batch: a batch leaves no state
+/// behind.
 #[test]
 fn workspace_reuse_across_batches_is_invisible() {
     let fx = fixture();
@@ -231,31 +191,12 @@ fn bad_input_aborts_the_batch_and_scores_nothing() {
             .score_batch_into(&fx.plan, &batch, &mut sw, &mut results, &mut per_layer)
             .expect_err("a NaN pixel must reject the batch");
         assert!(matches!(err, ScoreError::BadInput(_)));
-        // The aborted staging must not poison the next, clean batch.
+        // The aborted batch must not poison the next, clean one.
         let clean = &fx.images[..4];
         fx.validator
             .score_batch_into(&fx.plan, clean, &mut sw, &mut results, &mut per_layer)
             .expect("clean batch after an aborted one");
-        let (want_res, want_pl) = singles_reference(fx, clean, None);
+        let (want_res, want_pl) = singles_reference(fx, clean);
         assert_bits_equal("after-abort", &results, &per_layer, &want_res, &want_pl);
-    });
-}
-
-/// `reserve_for_batch` pre-sizes the workspace so batched scoring after
-/// it is still bit-identical (sizing is an optimisation, never a
-/// semantic change).
-#[test]
-fn reserve_for_batch_does_not_change_scores() {
-    let fx = fixture();
-    Pool::new(1).install(|| {
-        let mut sw = ScoreWorkspace::new();
-        sw.reserve_for_batch(&fx.plan, 8);
-        let images = &fx.images[10..18];
-        let (mut results, mut per_layer) = (Vec::new(), Vec::new());
-        fx.validator
-            .score_batch_into(&fx.plan, images, &mut sw, &mut results, &mut per_layer)
-            .expect("fixture images are well-formed");
-        let (want_res, want_pl) = singles_reference(fx, images, None);
-        assert_bits_equal("reserved", &results, &per_layer, &want_res, &want_pl);
     });
 }

@@ -43,8 +43,8 @@
 //! [`BoundedQueue`] (backpressured MPMC submission queue), [`oneshot`]
 //! (promise/ticket response handoff that breaks instead of hanging when
 //! a producer dies), [`Crew`] (named pinned worker threads with crash
-//! supervision and respawn), and [`HoldingPen`] (a crash-retry FIFO
-//! that keeps drained-but-unserved jobs recoverable across a panic).
+//! supervision and respawn), and [`HoldingPen`] (a FIFO that keeps
+//! drained-but-unserved jobs recoverable across a panic).
 
 pub mod config;
 mod crew;

@@ -15,9 +15,8 @@ use crate::fault::FaultPlan;
 /// [`DriftMonitor`](dv_drift::DriftMonitor). A latched drift alert
 /// *opens* the breaker: requests are served through the
 /// [`ServedVia::DriftDegraded`](crate::ServedVia::DriftDegraded) rung
-/// (and coalesce into passes like any rung) — except deterministic
-/// probes, which keep observing the stream — until the alert clears and
-/// the breaker closes again.
+/// — except deterministic probes, which keep observing the stream —
+/// until the alert clears and the breaker closes again.
 #[derive(Debug, Clone)]
 pub struct BreakerConfig {
     /// Detector and hysteresis parameters for the attached monitor.
@@ -70,14 +69,6 @@ pub struct ServeConfig {
     /// one drained with a squeezed budget is served through a degraded
     /// rung instead.
     pub deadline: Duration,
-    /// Largest number of queued requests one worker wakeup drains, and
-    /// so the widest pass (one rung, one forward pass) it may score.
-    /// Coalescing never waits for a pass to fill — a worker takes
-    /// whatever depth the queue already holds (up to this cap), so an
-    /// idle server still serves passes of one at single-request latency
-    /// while a bursty one turns queue depth into pass width. `1`
-    /// disables coalescing entirely.
-    pub max_batch: usize,
     /// How shutdown treats the queue backlog.
     pub shutdown: ShutdownPolicy,
     /// How many trailing validated layers the reduced (masked-tap) rung
@@ -100,7 +91,6 @@ impl Default for ServeConfig {
             workers: 2,
             queue_capacity: 64,
             deadline: Duration::from_millis(50),
-            max_batch: 8,
             shutdown: ShutdownPolicy::Drain,
             reduced_taps: 1,
             breaker: None,

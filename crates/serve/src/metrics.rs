@@ -39,21 +39,12 @@ pub(crate) mod names {
     pub(crate) const EXPIRED: &str = "serve.expired";
     /// Requests rejected by input validation.
     pub(crate) const BAD_INPUT: &str = "serve.bad_input";
-    /// Worker panics observed (crash *events*; a panic in a pass of two
-    /// or more is one event even though it parks several requests for
-    /// retry).
+    /// Worker panics observed (crash *events*).
     pub(crate) const WORKER_CRASHES: &str = "serve.worker_crashes";
-    /// Requests that terminally failed with `WorkerCrashed` (after the
-    /// lone crash-retry for members of a wider pass). This — not
-    /// [`WORKER_CRASHES`] — is the per-request terminal outcome.
+    /// Requests that terminally failed with `WorkerCrashed`: the one
+    /// scoring when its worker panicked. This — not [`WORKER_CRASHES`]
+    /// — is the per-request terminal outcome.
     pub(crate) const REQUESTS_CRASHED: &str = "serve.requests_crashed";
-    /// Requests served in a pass of ≥ 2.
-    pub(crate) const COALESCED: &str = "serve.coalesced";
-    /// Passes of ≥ 2 scored (each a single stacked forward pass).
-    pub(crate) const BATCHES: &str = "serve.batches";
-    /// Parked requests re-scored alone by a respawned worker after a
-    /// crash.
-    pub(crate) const BATCH_RETRIED: &str = "serve.batch_retried";
     /// Requests shed during shutdown.
     pub(crate) const SHED_SHUTDOWN: &str = "serve.shed_shutdown";
     /// Responses served after their deadline passed.
@@ -66,16 +57,10 @@ pub(crate) mod names {
     pub(crate) const RECOVERY_MAX_US: &str = "serve.recovery_max_us";
     /// Submission-to-response latency of served requests (µs).
     pub(crate) const LATENCY_US: &str = "serve.latency_us";
-    /// Pass widths (one sample per pass of ≥ 2).
-    pub(crate) const BATCH_SIZE: &str = "serve.batch_size";
     /// Sampled submission-queue depth, set from the depth the queue
     /// itself reports on every push and drain (no extra atomics beyond
     /// the queue's own accounting).
     pub(crate) const QUEUE_DEPTH: &str = "serve.queue_depth";
-    /// Dequeue-to-score-start wait of passes of ≥ 2 (µs): how long
-    /// triage, parking, earlier passes of the same wakeup and staging
-    /// held the members after a worker had them in hand.
-    pub(crate) const COALESCE_WAIT_US: &str = "serve.coalesce_wait_us";
 }
 
 /// All counter names, for eager registration.
@@ -94,9 +79,6 @@ const COUNTERS: &[&str] = &[
     names::BAD_INPUT,
     names::WORKER_CRASHES,
     names::REQUESTS_CRASHED,
-    names::COALESCED,
-    names::BATCHES,
-    names::BATCH_RETRIED,
     names::SHED_SHUTDOWN,
     names::DEADLINE_MISSED,
     names::RECOVERY_COUNT,
@@ -118,8 +100,6 @@ impl Metrics {
             let _ = reg.counter(name);
         }
         let _ = reg.histogram(names::LATENCY_US);
-        let _ = reg.histogram(names::BATCH_SIZE);
-        let _ = reg.histogram(names::COALESCE_WAIT_US);
         let _ = reg.gauge(names::QUEUE_DEPTH);
         Self { reg }
     }
@@ -154,19 +134,6 @@ impl Metrics {
         self.reg.gauge(names::QUEUE_DEPTH).set(depth);
     }
 
-    /// Records one pass of ≥ 2's dequeue-to-score-start wait.
-    pub(crate) fn record_coalesce_wait_us(&self, us: u64) {
-        self.reg.histogram(names::COALESCE_WAIT_US).record(us);
-    }
-
-    /// Records one pass of ≥ 2: its width sample plus the batch and
-    /// per-member coalescing counters.
-    pub(crate) fn record_batch(&self, size: u64) {
-        self.reg.counter(names::BATCHES).inc();
-        self.reg.counter(names::COALESCED).add(size);
-        self.reg.histogram(names::BATCH_SIZE).record(size);
-    }
-
     /// Records a crash-to-recovered interval (worker respawned, warmed,
     /// and back on the queue).
     pub(crate) fn record_recovery(&self, us: u64) {
@@ -195,9 +162,6 @@ impl Metrics {
             bad_input: get(names::BAD_INPUT),
             worker_crashes: get(names::WORKER_CRASHES),
             requests_crashed: get(names::REQUESTS_CRASHED),
-            coalesced: get(names::COALESCED),
-            batches: get(names::BATCHES),
-            batch_retried: get(names::BATCH_RETRIED),
             worker_respawns,
             shed_shutdown: get(names::SHED_SHUTDOWN),
             deadline_missed: get(names::DEADLINE_MISSED),
@@ -242,22 +206,15 @@ pub struct MetricsSnapshot {
     pub expired: u64,
     /// Requests rejected by input validation (shape / non-finite).
     pub bad_input: u64,
-    /// Worker panics observed (crash *events*). A panic in a pass of one
-    /// poisons that request; a panic in a wider pass leaves its members
-    /// parked for one lone retry each, so this can exceed
-    /// [`requests_crashed`](MetricsSnapshot::requests_crashed).
+    /// Worker panics observed (crash *events*). A panic while a request
+    /// scores fails that request alone, so this equals
+    /// [`requests_crashed`](MetricsSnapshot::requests_crashed) unless a
+    /// worker panicked outside scoring.
     pub worker_crashes: u64,
     /// Requests that terminally failed with `WorkerCrashed` — the
     /// per-request crash outcome used by
     /// [`terminal_outcomes`](MetricsSnapshot::terminal_outcomes).
     pub requests_crashed: u64,
-    /// Requests served in a pass of ≥ 2.
-    pub coalesced: u64,
-    /// Passes of ≥ 2 scored (one stacked forward pass each).
-    pub batches: u64,
-    /// Parked requests re-scored alone by a respawned worker after a
-    /// crash.
-    pub batch_retried: u64,
     /// Workers respawned by the supervisor.
     pub worker_respawns: u64,
     /// Requests shed during shutdown.
@@ -342,7 +299,7 @@ mod tests {
         m.inc(names::SERVED_CONFIDENCE);
         m.inc(names::EXPIRED);
         // Two crash events, but only one request terminally crashed (the
-        // other members were parked and retried): accounting follows the
+        // other panic struck outside scoring): accounting follows the
         // per-request counter.
         m.inc(names::WORKER_CRASHES);
         m.inc(names::WORKER_CRASHES);
@@ -354,16 +311,6 @@ mod tests {
         assert_eq!(s.worker_crashes, 2);
         assert_eq!(s.requests_crashed, 1);
         assert_eq!(s.worker_respawns, 3);
-    }
-
-    #[test]
-    fn batch_recording_tracks_batches_and_members() {
-        let m = Metrics::new();
-        m.record_batch(4);
-        m.record_batch(2);
-        let s = m.snapshot(0);
-        assert_eq!(s.batches, 2);
-        assert_eq!(s.coalesced, 6);
     }
 
     #[test]
@@ -385,8 +332,6 @@ mod tests {
             assert!(json.contains(name), "missing {name} in\n{json}");
         }
         assert!(json.contains(names::LATENCY_US));
-        assert!(json.contains(names::BATCH_SIZE));
-        assert!(json.contains(names::COALESCE_WAIT_US));
         assert!(json.contains(names::QUEUE_DEPTH));
     }
 

@@ -77,9 +77,8 @@ pub struct ScoreResponse {
     /// histogram's p99/p999 exemplars. Assigned whether or not tracing
     /// is compiled in, so responses correlate with traces when it is.
     pub trace: u64,
-    /// Width of the pass this request was scored in: how many requests
-    /// shared its rung and its forward pass (`1` when it was served on
-    /// its own).
+    /// Width of the pass this request was scored in. Every request is
+    /// scored in a pass of its own, so this is always `1`.
     pub batch: usize,
 }
 

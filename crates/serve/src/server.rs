@@ -1,15 +1,14 @@
 //! The serving frontend: pinned workers over a bounded queue, with
-//! deadline-driven degradation, adaptive batching, panic isolation, and
-//! supervised respawn.
+//! deadline-driven degradation, panic isolation, and supervised
+//! respawn.
 //!
-//! Every worker wakeup drains up to [`ServeConfig::max_batch`] queued
-//! requests, screens them once (shed, expired, malformed), parks the
-//! rest, and serves them as a sequence of *passes* (see
-//! [`serve_parked`]): each pass is one rung of the degradation ladder,
-//! one staged dv-core call and one response builder, whatever its
-//! width. Under burst load queue depth becomes pass width instead of
-//! `QueueFull` rejections; coalescing never waits, so an idle server
-//! serves passes of one at single-request latency.
+//! Every worker wakeup drains up to [`DRAIN_DEPTH`] queued requests,
+//! screens them once (shed, expired, malformed), parks the rest, and
+//! serves them one at a time, oldest first (see [`serve_parked`]): each
+//! request gets the rung of the degradation ladder its own budget
+//! affords, one dv-core call and the one response builder. The drain
+//! never waits for the queue to fill, so an idle server serves each
+//! request as it arrives.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -33,10 +32,15 @@ const POP_TICK: Duration = Duration::from_millis(5);
 /// How often the monitor reaps and respawns crashed workers.
 const SUPERVISE_TICK: Duration = Duration::from_millis(1);
 
-/// Safety factor between the remaining deadline budget and a pass's
-/// estimated cost: a rung is only chosen, and a pass only grows, while
-/// every member's budget is at least twice the estimate, so normal
-/// jitter does not turn a chosen pass into a deadline miss.
+/// Most queued requests one worker wakeup drains into its pen: under
+/// burst load a worker takes the queue's lock once per drain rather
+/// than once per request.
+const DRAIN_DEPTH: usize = 8;
+
+/// Safety factor between the remaining deadline budget and a rung's
+/// estimated cost: a rung is only chosen while the budget is at least
+/// twice the estimate, so normal jitter does not turn a chosen rung
+/// into a deadline miss.
 const RUNG_MARGIN: u64 = 2;
 
 /// Fallback `retry_after` before any job has been drained (no observed
@@ -112,19 +116,20 @@ struct Shared {
     /// when an incarnation unwinds, consumed by the respawned
     /// incarnation to report its crash-to-recovered interval.
     crash_stamp_ns: Vec<AtomicU64>,
-    /// Per-slot crash-retry holding pen: a worker parks everything it
-    /// drained here *before* scoring anything, and a pass's members stay
-    /// parked while they score, so a panic anywhere in the wakeup
-    /// leaves every not-yet-served promise intact for a retry on the
-    /// respawned incarnation. The [`HoldingPen`] API holds its lock only
-    /// inside each call — never across scoring — and incarnations of one
-    /// slot are serialized by the supervisor, so it cannot be contended
-    /// into a stall.
+    /// Per-slot holding pen: a worker parks everything it drained here
+    /// *before* scoring anything, and the request being scored stays
+    /// parked at the front, so a panic anywhere in the wakeup leaves
+    /// every not-yet-served promise intact: the one that was scoring for
+    /// its terminal crash, the rest for the respawned incarnation to
+    /// serve. The [`HoldingPen`] API holds its lock only inside each
+    /// call — never across scoring — and incarnations of one slot are
+    /// serialized by the supervisor, so it cannot be contended into a
+    /// stall.
     parked: Vec<HoldingPen<Job>>,
-    /// Per-slot flag: a width-1 pass is scoring. Its member, at the
-    /// front of the pen, is on its own attempt, so a panic with this set
-    /// is that request's terminal crash (see `worker_body`).
-    alone_in_flight: Vec<AtomicBool>,
+    /// Per-slot flag: the request at the front of the pen is scoring, so
+    /// a panic with this set is that request's terminal crash (see
+    /// `worker_body`).
+    front_scoring: Vec<AtomicBool>,
     /// Total jobs drained off the queue by workers, for the observed
     /// drain rate behind [`Rejected::QueueFull`]'s `retry_after`.
     popped_jobs: AtomicU64,
@@ -163,8 +168,8 @@ impl Shared {
 }
 
 /// Per-image cost of each rung (µs) for one worker incarnation: seeded
-/// by warm-up, then refined online from every pass (pass time ÷ width,
-/// see [`refine_estimate`]) so a noisy warm-up cannot permanently
+/// by warm-up, then refined online from every scored request (see
+/// [`refine_estimate`]) so a noisy warm-up cannot permanently
 /// miscalibrate the ladder.
 #[derive(Debug, Clone, Copy)]
 struct RungEstimates {
@@ -210,78 +215,20 @@ fn pick_rung(remaining_us: u64, est: &RungEstimates, reduced: usize) -> ServedVi
     }
 }
 
-/// What pass formation sees of one parked request as a pass opens.
-#[derive(Debug, Clone, Copy)]
-struct Candidate {
-    /// Deadline budget left, µs (0 once expired).
+/// The rung a parked request is served on: the breaker's degraded rung
+/// while it is open (its probes excepted, see
+/// [`Shared::drift_degraded`]), otherwise the ladder's pick for the
+/// budget left.
+fn serve_rung(
     remaining_us: u64,
-    /// The drift breaker serves it [`ServedVia::DriftDegraded`] whatever
-    /// its budget.
     drift_degraded: bool,
-    /// An injected latency spike: it is always scored alone, so it
-    /// cannot stall anyone else's deadline.
-    spiking: bool,
-}
-
-/// Forms one pass from the parked requests, visited oldest first. The
-/// first opens the pass and fixes its rung — exactly the rung it would
-/// get served alone. A later one joins when it would get that same rung
-/// alone, neither it nor the opener is spiking, the pass is below
-/// `max_width`, and every member's budget still covers the grown pass:
-/// `min(remaining) ≥ RUNG_MARGIN × est[rung] × width`. Decisions never
-/// look past the budgets already admitted, so no member is coalesced
-/// into a miss.
-struct PassForm {
-    est: RungEstimates,
-    /// Validated layers the reduced rung keeps (0 = rung disabled).
+    est: &RungEstimates,
     reduced: usize,
-    max_width: usize,
-    /// The pass's rung once its opener is seen.
-    via: Option<ServedVia>,
-    width: usize,
-    min_remaining_us: u64,
-    alone: bool,
-}
-
-impl PassForm {
-    fn new(est: RungEstimates, reduced: usize, max_width: usize) -> Self {
-        Self {
-            est,
-            reduced,
-            max_width,
-            via: None,
-            width: 0,
-            min_remaining_us: u64::MAX,
-            alone: false,
-        }
-    }
-
-    /// Whether `c` opens or joins the pass.
-    fn admit(&mut self, c: Candidate) -> bool {
-        let via = if c.drift_degraded {
-            ServedVia::DriftDegraded
-        } else {
-            pick_rung(c.remaining_us, &self.est, self.reduced)
-        };
-        let width = self.width + 1;
-        let min_remaining_us = self.min_remaining_us.min(c.remaining_us);
-        let joins = match self.via {
-            None => true,
-            Some(pass_via) => {
-                let cost_us = self.est.of(via).saturating_mul(width as u64);
-                via == pass_via
-                    && !(self.alone || c.spiking)
-                    && width <= self.max_width
-                    && min_remaining_us >= cost_us.saturating_mul(RUNG_MARGIN)
-            }
-        };
-        if joins {
-            self.via = Some(via);
-            self.width = width;
-            self.min_remaining_us = min_remaining_us;
-            self.alone |= c.spiking;
-        }
-        joins
+) -> ServedVia {
+    if drift_degraded {
+        ServedVia::DriftDegraded
+    } else {
+        pick_rung(remaining_us, est, reduced)
     }
 }
 
@@ -289,27 +236,26 @@ impl PassForm {
 /// list, and the (mutable, online-refined) rung cost estimates.
 struct WorkerCtx {
     sw: ScoreWorkspace,
-    /// Per-pass scoring outputs, reused across passes.
-    results: Vec<(usize, f32)>,
+    /// The scoring request's pixels, copied out of the pen so that its
+    /// lock is never held across scoring.
+    input: Tensor,
     per_layer: Vec<f32>,
     reduced_keep: Vec<usize>,
     est: RungEstimates,
-    max_batch: usize,
 }
 
 impl WorkerCtx {
     /// A fresh incarnation's state (a respawn never sees a crashed
-    /// predecessor's buffers), warmed on zeros images: one `max_batch`
-    /// pass grows the workspace to its steady allocation-free size, then
-    /// every rung is timed at width 1 — min over a few reps, so a cold
-    /// first pass does not inflate the estimate.
+    /// predecessor's buffers), warmed on a zeros image: one full score
+    /// grows the workspace to its steady allocation-free size, then
+    /// every rung is timed — min over a few reps, so a cold first score
+    /// does not inflate the estimate.
     fn warmed(shared: &Shared) -> Self {
         const REPS: usize = 3;
         dv_trace::span!("serve.warmup");
-        let max_batch = shared.cfg.max_batch.max(1);
         let mut ctx = Self {
             sw: ScoreWorkspace::new(),
-            results: Vec::new(),
+            input: Tensor::zeros(shared.plan.input_dims()),
             per_layer: Vec::new(),
             reduced_keep: reduced_keep_list(shared),
             est: RungEstimates {
@@ -317,19 +263,8 @@ impl WorkerCtx {
                 reduced_us: u64::MAX,
                 confidence_us: u64::MAX,
             },
-            max_batch,
         };
-        ctx.sw.reserve_for_batch(&shared.plan, max_batch);
-        let dummy = Tensor::zeros(shared.plan.input_dims());
-        for width in [max_batch, 1] {
-            ctx.sw.begin_batch();
-            for _ in 0..width {
-                ctx.sw
-                    .stage_image(&shared.plan, &dummy)
-                    .expect("zeros warm-up image always matches the plan input");
-            }
-            ctx.score_staged(shared, ServedVia::FullJoint);
-        }
+        ctx.score(shared, ServedVia::FullJoint);
         let rungs = [
             ServedVia::FullJoint,
             ServedVia::ReducedTaps {
@@ -340,7 +275,7 @@ impl WorkerCtx {
         for _ in 0..REPS {
             for via in rungs {
                 let t0 = now_ns();
-                ctx.score_staged(shared, via);
+                ctx.score(shared, via);
                 let us = (now_ns() - t0) / 1_000;
                 let est = ctx.est.of(via);
                 *est = (*est).min(us.max(1));
@@ -349,21 +284,21 @@ impl WorkerCtx {
         ctx
     }
 
-    /// Scores the staged pass on rung `via` through the one staged
-    /// dv-core entry point.
-    fn score_staged(&mut self, shared: &Shared, via: ServedVia) {
-        let keep: Option<&[usize]> = match via {
-            ServedVia::FullJoint => None,
-            ServedVia::ReducedTaps { .. } => Some(&self.reduced_keep),
-            ServedVia::ConfidenceOnly | ServedVia::DriftDegraded => Some(&[]),
+    /// Scores `input` on rung `via`: `score_into` on the full rung,
+    /// `score_masked_into` over the rung's taps otherwise.
+    fn score(&mut self, shared: &Shared, via: ServedVia) -> (usize, f32) {
+        let (validator, plan, image) = (&shared.validator, &shared.plan, &self.input);
+        let (sw, per_layer) = (&mut self.sw, &mut self.per_layer);
+        let scored = match via {
+            ServedVia::FullJoint => validator.score_into(plan, image, sw, per_layer),
+            ServedVia::ReducedTaps { .. } => {
+                validator.score_masked_into(plan, image, &self.reduced_keep, sw, per_layer)
+            }
+            ServedVia::ConfidenceOnly | ServedVia::DriftDegraded => {
+                validator.score_masked_into(plan, image, &[], sw, per_layer)
+            }
         };
-        shared.validator.score_staged_into(
-            &shared.plan,
-            keep,
-            &mut self.sw,
-            &mut self.results,
-            &mut self.per_layer,
-        );
+        scored.expect("triage validated every parked image")
     }
 }
 
@@ -382,8 +317,8 @@ impl Server {
     ///
     /// The validator and plan are shared immutably with every worker;
     /// each worker incarnation builds and warms its own
-    /// [`ScoreWorkspace`] (sized for `max_batch`), so nothing mutable is
-    /// shared on the scoring path.
+    /// [`ScoreWorkspace`], so nothing mutable is shared on the scoring
+    /// path.
     pub fn start(
         validator: Arc<DeepValidator>,
         plan: Arc<InferencePlan>,
@@ -407,7 +342,7 @@ impl Server {
             seq: AtomicU64::new(0),
             crash_stamp_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             parked: (0..workers).map(|_| HoldingPen::new()).collect(),
-            alone_in_flight: (0..workers).map(|_| AtomicBool::new(false)).collect(),
+            front_scoring: (0..workers).map(|_| AtomicBool::new(false)).collect(),
             popped_jobs: AtomicU64::new(0),
             validator,
             plan,
@@ -584,7 +519,7 @@ impl Server {
         }
     }
 
-    /// Fails every still-parked crash-retry job. Only called after
+    /// Fails every still-parked job. Only called after
     /// `workers.join()`, so no worker can be touching the pens.
     fn shed_parked(&self) {
         for pen in &self.shared.parked {
@@ -653,20 +588,18 @@ fn ingest_drift_obs(shared: &Arc<Shared>, drift: Option<&mut DriftMonitor>, batc
 }
 
 /// One worker incarnation: warm up, report recovery if this is a
-/// respawn, retry anything the crashed predecessor parked, then serve
-/// until the queue closes. A panic anywhere inside is caught here; if a
-/// width-1 pass was scoring, the crash is its request's terminal
-/// outcome, while the members of a wider pass survive in the pen for
-/// the next incarnation to retry.
+/// respawn, serve whatever the crashed predecessor left parked, then
+/// serve until the queue closes. A panic anywhere inside is caught
+/// here; if the request at the front of the pen was scoring, the crash
+/// is that request's terminal outcome, and the requests parked behind
+/// it wait for the next incarnation.
 fn worker_body(shared: &Arc<Shared>, slot: usize) {
     let crashed = catch_unwind(AssertUnwindSafe(|| worker_loop(shared, slot))).is_err();
     if !crashed {
         return;
     }
     shared.metrics.inc(names::WORKER_CRASHES);
-    if shared.alone_in_flight[slot].swap(false, Ordering::SeqCst) {
-        // The width-1 pass's member sits at the front of the pen; it
-        // was on its own attempt, so it is not retried.
+    if shared.front_scoring[slot].swap(false, Ordering::SeqCst) {
         if let Some(job) = shared.parked[slot].pop_front() {
             shared.metrics.inc(names::REQUESTS_CRASHED);
             if shared.traced(job.seq) {
@@ -690,16 +623,16 @@ fn worker_loop(shared: &Arc<Shared>, slot: usize) {
             .record_recovery(now_ns().saturating_sub(stamp) / 1_000);
     }
 
-    // Crash-retry: whatever the crashed predecessor parked is served
-    // alone, once each, before any new work — a pass that crashed never
-    // crashes the same requests into limbo twice.
-    serve_parked(shared, slot, &mut ctx, now_ns(), true);
+    // The requests a crashed predecessor left parked were never
+    // attempted (the one that crashed it has already failed), so they
+    // are served like any wakeup's, before any new work.
+    serve_parked(shared, slot, &mut ctx);
 
-    let mut drained: Vec<Job> = Vec::with_capacity(ctx.max_batch);
+    let mut drained: Vec<Job> = Vec::with_capacity(DRAIN_DEPTH);
     loop {
         match shared
             .queue
-            .drain_up_to(ctx.max_batch, POP_TICK, &mut drained)
+            .drain_up_to(DRAIN_DEPTH, POP_TICK, &mut drained)
         {
             Drained::Items { taken, depth } => {
                 shared.popped_jobs.fetch_add(taken as u64, Ordering::SeqCst);
@@ -710,7 +643,7 @@ fn worker_loop(shared: &Arc<Shared>, slot: usize) {
                         .drain(..)
                         .filter_map(|job| triage(shared, job, drained_ns)),
                 );
-                serve_parked(shared, slot, &mut ctx, drained_ns, false);
+                serve_parked(shared, slot, &mut ctx);
             }
             Drained::Empty => {}
             Drained::Closed => return,
@@ -752,198 +685,110 @@ fn reduced_keep_list(shared: &Shared) -> Vec<usize> {
     (total - keep..total).collect()
 }
 
-/// One pass's shared facts: its rung, its width, and when it opened.
-#[derive(Clone, Copy)]
-struct Pass {
-    via: ServedVia,
-    width: usize,
-    opened_ns: u64,
-}
-
-/// Serves everything parked in the slot's pen as a sequence of passes,
-/// oldest first. Each pass opens on the oldest parked job and takes in
-/// later ones by the [`PassForm`] rule, decided at that moment: a lone
-/// job gets exactly the ladder's rung, and degraded or breaker-open
-/// requests coalesce like full ones. With `retry` (a respawned
-/// incarnation draining its crashed predecessor's pen) every pass has
-/// width 1 and counts in `batch_retried`.
-fn serve_parked(shared: &Shared, slot: usize, ctx: &mut WorkerCtx, drained_ns: u64, retry: bool) {
-    let max_width = if retry { 1 } else { ctx.max_batch };
+/// Serves everything parked in the slot's pen, oldest first, one
+/// request at a time through [`serve_front`]. Each request's rung is
+/// decided when its turn comes, from the budget it has left then.
+fn serve_parked(shared: &Shared, slot: usize, ctx: &mut WorkerCtx) {
     loop {
         let opened_ns = now_ns();
-        let mut form = PassForm::new(ctx.est, ctx.reduced_keep.len(), max_width);
-        let width = shared.parked[slot].hoist(|job| {
-            form.admit(Candidate {
-                remaining_us: job.deadline_ns.saturating_sub(opened_ns) / 1_000,
-                drift_degraded: shared.drift_degraded(job.seq),
-                spiking: spiking(shared, job.seq),
-            })
+        let (est, reduced) = (ctx.est, ctx.reduced_keep.len());
+        let input = ctx.input.data_mut();
+        let front = shared.parked[slot].for_front_mut(|job| {
+            let remaining_us = job.deadline_ns.saturating_sub(opened_ns) / 1_000;
+            let via = serve_rung(remaining_us, shared.drift_degraded(job.seq), &est, reduced);
+            input.copy_from_slice(job.image.data());
+            if shared.traced(job.seq) {
+                dv_trace::record_raw("serve.queued", job.submitted_ns, opened_ns);
+                if via != ServedVia::FullJoint {
+                    let (id, parent) = (job.trace, job.last_event);
+                    job.last_event =
+                        dv_trace::record_event("serve.degraded", opened_ns, id, parent, via.code());
+                }
+            }
+            (job.seq, via)
         });
-        let Some(via) = form.via else {
+        let Some((seq, via)) = front else {
             return;
         };
-        if retry {
-            shared.metrics.inc(names::BATCH_RETRIED);
-        }
-        let pass = Pass {
-            via,
-            width,
-            opened_ns,
-        };
-        serve_pass(shared, slot, ctx, pass, drained_ns, retry);
+        serve_front(shared, slot, ctx, seq, via, opened_ns);
     }
 }
 
-/// Whether `seq` draws an injected latency spike.
-fn spiking(shared: &Shared, seq: u64) -> bool {
-    #[cfg(feature = "fault-inject")]
-    if let Some(faults) = &shared.cfg.faults {
-        return faults.spike_hits(seq);
-    }
-    let _ = (shared, seq);
-    false
-}
-
-/// Scores one pass — the first `pass.width` jobs of the slot's pen —
-/// with one staged dv-core call and answers every member through
-/// [`respond`].
+/// Scores the request at the front of the slot's pen — request `seq`,
+/// whose pixels are already in `ctx.input` — on rung `via`, then takes
+/// it out of the pen and answers it through [`respond`].
 ///
-/// The members stay parked while they score. A panic in a pass of two
-/// or more therefore breaks no promise: the respawned incarnation
-/// retries each member alone. A width-1 pass is its member's own
-/// attempt, flagged in `alone_in_flight`, so a panic there is that
-/// request's terminal `WorkerCrashed` (see [`worker_body`]).
-fn serve_pass(
+/// The request stays parked while it scores, flagged in
+/// `front_scoring`, so a panic there is its terminal `WorkerCrashed`
+/// (see [`worker_body`]) and breaks no other promise.
+fn serve_front(
     shared: &Shared,
     slot: usize,
     ctx: &mut WorkerCtx,
-    pass: Pass,
-    drained_ns: u64,
-    retry: bool,
+    seq: u64,
+    via: ServedVia,
+    opened_ns: u64,
 ) {
     let pen = &shared.parked[slot];
-    let Pass { via, width, .. } = pass;
-    shared.alone_in_flight[slot].store(width == 1, Ordering::SeqCst);
-    let mut sampled = false;
-    ctx.sw.begin_batch();
-    pen.for_front_mut(width, |job| {
-        if shared.traced(job.seq) {
-            sampled = true;
-            let (at, id, mut parent) = (pass.opened_ns, job.trace, job.last_event);
-            dv_trace::record_raw("serve.queued", job.submitted_ns, at);
-            if retry {
-                parent = dv_trace::record_event("serve.retried", at, id, parent, 0);
-            }
-            if width > 1 {
-                parent = dv_trace::record_event("serve.batch_joined", at, id, parent, width as u64);
-            }
-            if via != ServedVia::FullJoint {
-                parent = dv_trace::record_event("serve.degraded", at, id, parent, via.code());
-            }
-            job.last_event = parent;
-        }
-        ctx.sw
-            .stage_image(&shared.plan, &job.image)
-            .expect("triage validated every parked image");
-    });
+    let traced = shared.traced(seq);
     // Spans inside the pass follow the deterministic `DV_TRACE_SAMPLE`
     // sample; telemetry (metrics, drift observations) never does.
-    let _sample = dv_trace::sample_scope(sampled);
+    let _sample = dv_trace::sample_scope(traced);
     dv_trace::span!("serve.pass");
+    shared.front_scoring[slot].store(true, Ordering::SeqCst);
 
     #[cfg(feature = "fault-inject")]
     if let Some(faults) = &shared.cfg.faults {
-        let (mut spike, mut guilty) = (false, None);
-        pen.for_front(width, |job| {
-            spike |= faults.spike_hits(job.seq);
-            if guilty.is_none() && faults.panic_hits(job.seq) {
-                guilty = Some(job.seq);
-            }
-        });
-        if spike {
-            // Pass formation scores a spiking request alone.
+        if faults.spike_hits(seq) {
             std::thread::sleep(faults.spike);
         }
-        if let Some(seq) = guilty {
-            if width > 1 {
-                // The guilty member's crash shows on its own timeline;
-                // its promise survives in the pen for the retry.
-                pen.for_front_mut(width, |job| {
-                    if job.seq == seq && shared.traced(job.seq) {
-                        let (at, parent) = (now_ns(), job.last_event);
-                        job.last_event =
-                            dv_trace::record_event("serve.crashed", at, job.trace, parent, 0);
-                    }
-                });
-            }
+        if faults.panic_hits(seq) {
             panic!("injected fault: worker panic on request {seq}");
         }
     }
 
     let begin_ns = now_ns();
-    if width > 1 {
-        shared
-            .metrics
-            .record_coalesce_wait_us(begin_ns.saturating_sub(drained_ns) / 1_000);
-    }
-    if dv_trace::tracing_enabled() {
-        pen.for_front_mut(width, |job| {
-            if shared.traced(job.seq) {
-                let (id, parent) = (job.trace, job.last_event);
-                job.last_event =
-                    dv_trace::record_event("serve.score_begin", begin_ns, id, parent, via.code());
-            }
+    if traced {
+        pen.for_front_mut(|job| {
+            let (id, parent) = (job.trace, job.last_event);
+            job.last_event =
+                dv_trace::record_event("serve.score_begin", begin_ns, id, parent, via.code());
         });
     }
-    ctx.score_staged(shared, via);
+    let top = ctx.score(shared, via);
     let end_ns = now_ns();
-    // Keep the ladder honest: fold the observed per-image cost into the
-    // rung's running estimate.
-    refine_estimate(ctx.est.of(via), (end_ns - begin_ns) / 1_000 / width as u64);
-    if dv_trace::tracing_enabled() {
-        pen.for_front_mut(width, |job| {
-            if shared.traced(job.seq) {
-                let parent = job.last_event;
-                job.last_event =
-                    dv_trace::record_event("serve.score_end", end_ns, job.trace, parent, 0);
-            }
-        });
-    }
+    // Keep the ladder honest: fold the observed cost into the rung's
+    // running estimate.
+    refine_estimate(ctx.est.of(via), (end_ns - begin_ns) / 1_000);
+    shared.front_scoring[slot].store(false, Ordering::SeqCst);
 
-    shared.alone_in_flight[slot].store(false, Ordering::SeqCst);
-    let jobs = pen.release_front(width);
-    if width > 1 {
-        shared.metrics.record_batch(width as u64);
+    let mut job = pen
+        .pop_front()
+        .expect("the scored request is still parked at the front");
+    if traced {
+        job.last_event =
+            dv_trace::record_event("serve.score_end", end_ns, job.trace, job.last_event, 0);
     }
-    let row = ctx.per_layer.len() / width;
-    for (i, job) in jobs.into_iter().enumerate() {
-        respond(
-            shared,
-            slot,
-            job,
-            pass,
-            ctx.results[i],
-            &ctx.per_layer[i * row..(i + 1) * row],
-        );
-    }
+    respond(shared, slot, job, via, opened_ns, top, &ctx.per_layer);
 }
 
-/// The one response builder: answers a scored pass member, with its
-/// served and deadline counters, latency sample, drift observation and
+/// The one response builder: answers a scored request, with its served
+/// and deadline counters, latency sample, drift observation and
 /// `serve.responded` event. The latency and the event share one clock
 /// reading, so a stitched timeline reproduces `total_us` exactly.
 fn respond(
     shared: &Shared,
     slot: usize,
     job: Job,
-    pass: Pass,
+    via: ServedVia,
+    opened_ns: u64,
     (predicted, confidence): (usize, f32),
     per_layer: &[f32],
 ) {
     let finish_ns = now_ns();
     let total_us = finish_ns.saturating_sub(job.submitted_ns) / 1_000;
     let deadline_met = finish_ns <= job.deadline_ns;
-    shared.metrics.inc(match pass.via {
+    shared.metrics.inc(match via {
         ServedVia::FullJoint => names::SERVED_FULL,
         ServedVia::ReducedTaps { .. } => names::SERVED_REDUCED,
         ServedVia::ConfidenceOnly => names::SERVED_CONFIDENCE,
@@ -956,7 +801,7 @@ fn respond(
     if shared.traced(job.seq) {
         dv_trace::record_event("serve.responded", finish_ns, job.trace, job.last_event, 0);
     }
-    let joint = (pass.via == ServedVia::FullJoint).then(|| per_layer.iter().sum::<f32>());
+    let joint = (via == ServedVia::FullJoint).then(|| per_layer.iter().sum::<f32>());
     // Every full-joint score feeds the drift monitor (including probes
     // while the breaker is open).
     if let (Some(joint), Some(b)) = (joint, shared.breaker.as_ref()) {
@@ -973,14 +818,14 @@ fn respond(
         confidence,
         per_layer: per_layer.to_vec(),
         joint,
-        via: pass.via,
-        queue_us: pass.opened_ns.saturating_sub(job.submitted_ns) / 1_000,
+        via,
+        queue_us: opened_ns.saturating_sub(job.submitted_ns) / 1_000,
         total_us,
         deadline_met,
         worker: slot,
         seq: job.seq,
         trace: job.trace.0,
-        batch: pass.width,
+        batch: 1,
     }));
 }
 
@@ -993,36 +838,6 @@ mod tests {
         reduced_us: 20,
         confidence_us: 2,
     };
-
-    fn cand(remaining_us: u64) -> Candidate {
-        Candidate {
-            remaining_us,
-            drift_degraded: false,
-            spiking: false,
-        }
-    }
-
-    /// One pass formed by `serve_parked`: its rung and its members.
-    type Formed = (ServedVia, Vec<Candidate>);
-
-    /// Runs pass formation over a burst the way `serve_parked` runs it
-    /// over the pen: each pass opens on the oldest pending request, its
-    /// members leave, and the next pass opens on what is left. Budgets
-    /// are taken as fixed (every pass opens at the same instant), which
-    /// is the worst case for admission — time only shrinks them.
-    fn form_passes(burst: &[Candidate], reduced: usize, max_width: usize) -> Vec<Formed> {
-        let mut pending = burst.to_vec();
-        let mut passes = Vec::new();
-        while !pending.is_empty() {
-            let mut form = PassForm::new(EST, reduced, max_width);
-            let (members, rest): (Vec<Candidate>, Vec<Candidate>) =
-                pending.iter().partition(|&&c| form.admit(c));
-            assert_eq!(members.len(), form.width);
-            passes.push((form.via.expect("a pending request opens a pass"), members));
-            pending = rest;
-        }
-        passes
-    }
 
     #[test]
     fn ladder_picks_the_richest_affordable_rung() {
@@ -1117,127 +932,25 @@ mod tests {
         );
     }
 
-    /// At width 1 pass formation is the ladder: across a budget sweep,
-    /// with and without the reduced rung, a lone request's pass gets
-    /// `pick_rung`'s rung — and the breaker overrides it.
+    /// A request's rung is the ladder's pick for its own budget: across
+    /// a budget sweep, with and without the reduced rung, it gets
+    /// `pick_rung`'s rung — and the breaker overrides it whatever the
+    /// budget.
     #[test]
     fn a_lone_request_gets_exactly_the_ladder_rung() {
         for reduced in [0, 1] {
             for remaining_us in 0..=450 {
-                let passes = form_passes(&[cand(remaining_us)], reduced, 8);
-                assert_eq!(passes.len(), 1);
                 assert_eq!(
-                    passes[0].0,
+                    serve_rung(remaining_us, false, &EST, reduced),
                     pick_rung(remaining_us, &EST, reduced),
                     "budget {remaining_us}µs, reduced {reduced}"
                 );
+                assert_eq!(
+                    serve_rung(remaining_us, true, &EST, reduced),
+                    ServedVia::DriftDegraded,
+                    "budget {remaining_us}µs, reduced {reduced}"
+                );
             }
-        }
-        let degraded = Candidate {
-            drift_degraded: true,
-            ..cand(10_000)
-        };
-        assert_eq!(
-            form_passes(&[degraded], 1, 8)[0].0,
-            ServedVia::DriftDegraded
-        );
-    }
-
-    /// Over many seeded bursts of mixed budgets, breaker states and
-    /// spikes: every member of a pass would get the pass's rung alone,
-    /// no pass outgrows `max_width`, and no member's budget is below
-    /// `RUNG_MARGIN × est × width`. The only exception is the ladder's
-    /// floor — a lone confidence-rung request is served whatever its
-    /// budget, as it always was.
-    #[test]
-    fn no_pass_outgrows_any_member_budget() {
-        let mut widest = 0;
-        for burst_seed in 0..400u64 {
-            let draw = |k: u64| dv_runtime::split_seed(burst_seed, k);
-            let n = 1 + (draw(0) % 8) as usize;
-            let burst: Vec<Candidate> = (0..n as u64)
-                .map(|i| Candidate {
-                    remaining_us: draw(3 * i + 1) % 2_500,
-                    drift_degraded: draw(3 * i + 2) % 5 == 0,
-                    spiking: draw(3 * i + 3) % 11 == 0,
-                })
-                .collect();
-            let max_width = 1 + (draw(99) % 8) as usize;
-            let passes = form_passes(&burst, 1, max_width);
-            assert_eq!(
-                passes.iter().map(|(_, m)| m.len()).sum::<usize>(),
-                n,
-                "every request is in exactly one pass"
-            );
-            for (via, members) in &passes {
-                let width = members.len() as u64;
-                widest = widest.max(members.len());
-                assert!(members.len() <= max_width);
-                let floor = width == 1
-                    && matches!(via, ServedVia::ConfidenceOnly | ServedVia::DriftDegraded);
-                let mut est = EST;
-                let cost = RUNG_MARGIN * *est.of(*via) * width;
-                for m in members {
-                    let alone = if m.drift_degraded {
-                        ServedVia::DriftDegraded
-                    } else {
-                        pick_rung(m.remaining_us, &EST, 1)
-                    };
-                    assert_eq!(alone, *via, "burst {burst_seed}: {members:?}");
-                    assert!(
-                        floor || m.remaining_us >= cost,
-                        "burst {burst_seed}: budget {}µs under {cost}µs in a {via:?} pass \
-                         of {width}",
-                        m.remaining_us
-                    );
-                }
-            }
-        }
-        assert!(widest >= 4, "the bursts must actually coalesce: {widest}");
-    }
-
-    /// Degraded requests coalesce like full ones: a burst that the
-    /// breaker serves degraded, or that the ladder serves
-    /// confidence-only, is one pass rather than N singles.
-    #[test]
-    fn degraded_bursts_form_one_pass() {
-        let breaker_open: Vec<Candidate> = (0..8)
-            .map(|i| Candidate {
-                drift_degraded: true,
-                ..cand(60 + i)
-            })
-            .collect();
-        let passes = form_passes(&breaker_open, 1, 8);
-        assert_eq!(passes.len(), 1, "{passes:?}");
-        assert_eq!(passes[0].0, ServedVia::DriftDegraded);
-        assert_eq!(passes[0].1.len(), 8);
-
-        // Under the reduced rung's 2 × 20µs floor, above 2 × 2µs × 8.
-        let squeezed: Vec<Candidate> = (0..8).map(|i| cand(39 - i)).collect();
-        let passes = form_passes(&squeezed, 1, 8);
-        assert_eq!(passes.len(), 1, "{passes:?}");
-        assert_eq!(passes[0].0, ServedVia::ConfidenceOnly);
-        assert_eq!(passes[0].1.len(), 8);
-    }
-
-    /// A spiking request never shares a pass, whether it would open
-    /// one or join one.
-    #[test]
-    fn a_spiking_request_is_always_alone() {
-        for at in 0..6 {
-            let burst: Vec<Candidate> = (0..6)
-                .map(|i| Candidate {
-                    spiking: i == at,
-                    ..cand(100_000)
-                })
-                .collect();
-            let passes = form_passes(&burst, 1, 8);
-            for (_, members) in &passes {
-                if members.iter().any(|m| m.spiking) {
-                    assert_eq!(members.len(), 1, "spike at {at}: {passes:?}");
-                }
-            }
-            assert_eq!(passes.len(), 2, "spike at {at}: {passes:?}");
         }
     }
 }

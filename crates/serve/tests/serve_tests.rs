@@ -18,13 +18,13 @@ use dv_nn::optim::Adam;
 use dv_nn::train::{fit, TrainConfig};
 use dv_nn::{InferencePlan, Network};
 use dv_runtime::Pool;
-use dv_serve::{BreakerConfig, Rejected, ServeConfig, ServedVia, Server, ShutdownPolicy};
+use dv_serve::{BreakerConfig, ServeConfig, ServedVia, Server, ShutdownPolicy};
 use dv_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 #[cfg(feature = "fault-inject")]
-use dv_serve::FaultPlan;
+use dv_serve::{FaultPlan, Rejected};
 
 /// Silence the panic spew from *injected* worker faults (they are the
 /// point of these tests), while forwarding every other panic to the
@@ -118,7 +118,6 @@ fn generous_cfg() -> ServeConfig {
         workers: 2,
         queue_capacity: 128,
         deadline: Duration::from_secs(5),
-        max_batch: 8,
         shutdown: ShutdownPolicy::Drain,
         reduced_taps: 1,
         breaker: None,
@@ -148,6 +147,7 @@ fn serving_without_faults_is_bit_identical() {
         assert_eq!(resp.via, ServedVia::FullJoint, "request {i}");
         assert!(resp.deadline_met, "request {i} blew a 5s deadline");
         assert_eq!(resp.seq, i as u64);
+        assert_eq!(resp.batch, 1, "request {i} shared its pass");
         let (p, c, per_layer, joint) = direct(&validator, &plan, &images[i]);
         assert_eq!(resp.predicted, p, "request {i}");
         assert_eq!(resp.confidence.to_bits(), c.to_bits(), "request {i}");
@@ -344,9 +344,9 @@ fn metrics_match_pre_refactor_values_on_fixed_schedule() {
 /// stream (KS exactly 0, CUSUM at its floor — no false alarm possible),
 /// a brightness-shifted image trips the monitor and opens the breaker
 /// (responses flip to `DriftDegraded`, probes stay full), and returning
-/// to the clean image closes it again. Degraded responses — which may
-/// now share a pass — carry exactly the bits of direct confidence-only
-/// scoring. Accounting stays exact through both transitions.
+/// to the clean image closes it again. Degraded responses carry exactly
+/// the bits of direct confidence-only scoring. Accounting stays exact
+/// through both transitions.
 #[test]
 fn drift_breaker_opens_on_shift_and_closes_on_recovery() {
     quiet_injected_panics();
@@ -415,9 +415,9 @@ fn drift_breaker_opens_on_shift_and_closes_on_recovery() {
     assert!(opened, "the shifted stream must open the breaker");
     assert!(server.metrics().breaker_opened >= 1);
 
-    // A burst while the breaker is open: non-probes serve degraded and
-    // may coalesce into shared passes; every one keeps the direct
-    // confidence-only bits, and the probes keep the direct full bits.
+    // A burst while the breaker is open: non-probes serve degraded with
+    // the direct confidence-only bits, and the probes keep the direct
+    // full bits.
     let burst: Vec<_> = (0..16)
         .map(|_| {
             server
@@ -709,36 +709,46 @@ fn every_request_reaches_exactly_one_terminal_outcome() {
         assert_eq!(m.served(), served, "seed {seed}");
         assert_eq!(m.expired, expired, "seed {seed}");
         assert_eq!(m.bad_input, bad_input, "seed {seed}");
-        // Terminal crashes are per-request; crash *events* can exceed
-        // them when a mid-batch panic parked its members for retry.
+        // Every injected panic strikes while its request scores, so each
+        // crash event fails exactly one request.
         assert_eq!(m.requests_crashed, crashed, "seed {seed}");
-        assert!(m.worker_crashes >= m.requests_crashed, "seed {seed}");
+        assert_eq!(m.worker_crashes, m.requests_crashed, "seed {seed}");
         assert_eq!(m.shed_shutdown, shed, "seed {seed}");
         assert_eq!(m.terminal_outcomes(), m.submitted, "seed {seed}");
     }
 }
 
-/// A burst piling up behind a latency spike coalesces into real batches,
-/// and every batched response is bit-identical to the direct path. This
-/// is the serving-side half of the dv-core `batch_equivalence` property:
-/// coalescing changes throughput, never the numbers.
+/// A worker panic fails exactly the request that was scoring. The
+/// requests parked behind it in the same drain were never attempted, so
+/// the respawned incarnation serves them, full-joint and bit-identical
+/// to `score_into`, and the accounting stays exact.
 #[cfg(feature = "fault-inject")]
 #[test]
-fn coalesced_batches_serve_bit_identically() {
+fn a_crash_fails_exactly_its_own_request() {
     quiet_injected_panics();
     let (validator, plan, images) = trained_setup();
-    // A schedule that spikes seq 0 and nothing else in the burst: while
-    // the single worker sleeps on request 0, the rest queue up and the
-    // next wakeup must drain them as batches.
-    let faults = (0..20_000u64)
+    const N: u64 = 12;
+    // Seq 0 spikes, holding the lone worker while the rest of the burst
+    // queues behind it; nothing else spikes, and exactly one of seqs
+    // 2..=5 panics, so the next drain parks requests on both sides of
+    // the guilty one.
+    let faults = (0..100_000u64)
         .map(|seed| FaultPlan {
             seed,
-            panic_per_mille: 0,
+            panic_per_mille: 100,
             spike_per_mille: 60,
-            spike: Duration::from_millis(200),
+            spike: Duration::from_millis(300),
         })
-        .find(|f| f.spike_hits(0) && (1..16).all(|s| !f.spike_hits(s)))
-        .expect("a seed spiking exactly seq 0 exists in 0..20000");
+        .find(|f| {
+            f.spike_hits(0)
+                && (1..N).all(|s| !f.spike_hits(s))
+                && (0..N).filter(|&s| f.panic_hits(s)).count() == 1
+                && (2..=5).any(|s| f.panic_hits(s))
+        })
+        .expect("a qualifying fault seed exists in 0..100000");
+    let guilty = (2..=5u64)
+        .find(|&s| faults.panic_hits(s))
+        .expect("the filter above guarantees one");
 
     let mut cfg = generous_cfg();
     cfg.workers = 1;
@@ -746,21 +756,37 @@ fn coalesced_batches_serve_bit_identically() {
     cfg.faults = Some(faults);
     let server = Server::start(Arc::clone(&validator), Arc::clone(&plan), cfg);
 
-    let pendings: Vec<_> = images
-        .iter()
-        .take(16)
-        .map(|img| {
-            server
-                .try_submit(img.clone())
-                .expect("queue capacity exceeds the burst")
-        })
-        .collect();
+    let mut pendings = vec![server
+        .try_submit(images[0].clone())
+        .expect("queue has room")];
+    // Wait for the worker to take seq 0 into its spike, so the rest queue
+    // behind it and the next wakeup drains them together.
+    for _ in 0..10_000 {
+        if server.queue_depth() == 0 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(server.queue_depth(), 0, "the worker never took seq 0");
+    pendings.extend((1..N as usize).map(|i| {
+        server
+            .try_submit(images[i].clone())
+            .expect("queue capacity exceeds the burst")
+    }));
 
-    let mut widest = 0usize;
     for (i, pending) in pendings.into_iter().enumerate() {
-        let resp = pending.wait().expect("no panics are scheduled");
+        let outcome = pending
+            .wait_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("request {i} hung after the crash"));
+        if i as u64 == guilty {
+            assert!(
+                matches!(outcome, Err(ScoreError::WorkerCrashed)),
+                "request {i} was scheduled to crash"
+            );
+            continue;
+        }
+        let resp = outcome.unwrap_or_else(|e| panic!("request {i} failed: {e:?}"));
         assert_eq!(resp.via, ServedVia::FullJoint, "request {i}");
-        widest = widest.max(resp.batch);
         let (p, c, per_layer, joint) = direct(&validator, &plan, &images[i]);
         assert_eq!(resp.predicted, p, "request {i}");
         assert_eq!(resp.confidence.to_bits(), c.to_bits(), "request {i}");
@@ -771,107 +797,11 @@ fn coalesced_batches_serve_bit_identically() {
         let got_joint = resp.joint.expect("full rung reports the joint");
         assert_eq!(got_joint.to_bits(), joint.to_bits(), "request {i}");
     }
-    assert!(widest >= 2, "the burst behind the spike must coalesce");
 
     let m = server.shutdown();
-    assert_eq!(m.served_full, 16);
-    assert!(m.batches >= 1, "at least one multi-request batch scored");
-    assert!(m.coalesced >= 2, "coalesced members were counted");
-    assert_eq!(m.requests_crashed, 0);
-    assert_eq!(m.terminal_outcomes(), m.submitted);
-}
-
-/// A worker panic in the middle of a coalesced batch must not take the
-/// innocent members down with it: they are parked before scoring starts,
-/// re-scored singly by the respawned worker, and only the request whose
-/// injected fault caused the panic reaches `WorkerCrashed` — exactly
-/// once, after its single retry deterministically re-panics.
-#[cfg(feature = "fault-inject")]
-#[test]
-fn mid_batch_crash_retries_members_and_accounts_exactly() {
-    quiet_injected_panics();
-    let (validator, plan, images) = trained_setup();
-    // A schedule where seq 0 spikes (holding the worker while 1..8 pile
-    // into one batch), no other burst member spikes, seqs 0 and 1 never
-    // panic, and exactly one of 2..8 panics — so the batch that forms
-    // behind the spike crashes mid-flight with known innocents.
-    let faults = (0..100_000u64)
-        .map(|seed| FaultPlan {
-            seed,
-            panic_per_mille: 120,
-            spike_per_mille: 60,
-            spike: Duration::from_millis(200),
-        })
-        .find(|f| {
-            f.spike_hits(0)
-                && (1..8).all(|s| !f.spike_hits(s))
-                && !f.panic_hits(0)
-                && !f.panic_hits(1)
-                && (2..8).filter(|&s| f.panic_hits(s)).count() == 1
-        })
-        .expect("a qualifying fault seed exists in 0..100000");
-    let guilty = (2..8)
-        .find(|&s| faults.panic_hits(s))
-        .expect("the filter above guarantees one");
-
-    let mut cfg = generous_cfg();
-    cfg.workers = 1;
-    cfg.deadline = Duration::from_secs(10);
-    cfg.faults = Some(faults);
-    let server = Server::start(Arc::clone(&validator), Arc::clone(&plan), cfg);
-
-    let pendings: Vec<_> = images
-        .iter()
-        .take(8)
-        .map(|img| {
-            server
-                .try_submit(img.clone())
-                .expect("queue capacity exceeds the burst")
-        })
-        .collect();
-
-    let mut crashed = Vec::new();
-    for (i, pending) in pendings.into_iter().enumerate() {
-        let outcome = pending
-            .wait_timeout(Duration::from_secs(30))
-            .unwrap_or_else(|_| panic!("request {i} hung after the mid-batch crash"));
-        match outcome {
-            Ok(resp) => {
-                // Retried members are re-scored singly but stay
-                // bit-identical to the direct path.
-                let (p, c, per_layer, joint) = direct(&validator, &plan, &images[i]);
-                assert_eq!(resp.predicted, p, "request {i}");
-                assert_eq!(resp.confidence.to_bits(), c.to_bits(), "request {i}");
-                for (a, b) in resp.per_layer.iter().zip(&per_layer) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "request {i}");
-                }
-                let got_joint = resp.joint.expect("full rung reports the joint");
-                assert_eq!(got_joint.to_bits(), joint.to_bits(), "request {i}");
-            }
-            Err(ScoreError::WorkerCrashed) => crashed.push(i as u64),
-            other => panic!("unexpected outcome for request {i}: {other:?}"),
-        }
-    }
-    assert_eq!(
-        crashed,
-        vec![guilty],
-        "exactly the scheduled member crashes, exactly once"
-    );
-
-    let m = server.shutdown();
-    assert_eq!(m.served(), 7, "every innocent member was served");
+    assert_eq!(m.served_full, N - 1, "every other request was served");
     assert_eq!(m.requests_crashed, 1, "one terminal crash outcome");
-    assert_eq!(
-        m.worker_crashes, 2,
-        "the batch panic plus the guilty member's terminal single retry"
-    );
-    assert!(
-        m.batch_retried >= 1,
-        "parked members were drained as retries"
-    );
-    // 8, not 7: if the whole burst lands in one drain, the spiked seq 0
-    // is parked as a single next to the batch and rides the retry too.
-    assert!(m.batch_retried <= 8);
-    assert!(m.worker_respawns >= 2);
+    assert_eq!(m.worker_crashes, 1, "one panic");
+    assert!(m.worker_respawns >= 1);
     assert_eq!(m.terminal_outcomes(), m.submitted);
 }

@@ -72,7 +72,6 @@ fn responses_carry_trace_ids_that_resolve_to_stitched_timelines() {
             workers: 2,
             queue_capacity: 128,
             deadline: Duration::from_secs(5),
-            max_batch: 8,
             shutdown: ShutdownPolicy::Drain,
             reduced_taps: 1,
             breaker: None,
@@ -102,7 +101,6 @@ fn responses_carry_trace_ids_that_resolve_to_stitched_timelines() {
     // The new satellite metrics are registered (and therefore exported)
     // from the first request on.
     assert!(json.contains("\"serve.queue_depth\""), "{json}");
-    assert!(json.contains("\"serve.coalesce_wait_us\""), "{json}");
     assert!(json.contains("\"p999\""), "{json}");
 
     // Exemplars ride the always-on histogram, so the p99 bucket points
@@ -145,7 +143,7 @@ fn responses_carry_trace_ids_that_resolve_to_stitched_timelines() {
             seg.total_ns,
             "segments partition the request's wall time exactly"
         );
-        if resp.via == ServedVia::FullJoint && resp.batch == 1 {
+        if resp.via == ServedVia::FullJoint {
             let first = tl.first("serve.enqueued").expect("enqueue event");
             assert_eq!(first.parent, 0, "the enqueue event roots the chain");
         }

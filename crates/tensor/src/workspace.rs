@@ -133,20 +133,6 @@ impl Workspace {
         self.probes.len()
     }
 
-    /// Pre-reserves capacity for both ping-pong activation buffers, so a
-    /// batch-sized forward pass can run without a single growth
-    /// reallocation mid-flight. `len` is the largest activation length
-    /// (batch × widest layer item) the caller expects; sizing up front
-    /// moves the allocation cost to setup instead of the first oversized
-    /// request.
-    pub fn reserve_acts(&mut self, len: usize) {
-        for buf in &mut self.acts {
-            if buf.capacity() < len {
-                buf.reserve(len - buf.len());
-            }
-        }
-    }
-
     /// Clears every buffer's *contents* while keeping its capacity: after
     /// a reset the workspace holds no activations, tapped probes, or
     /// per-op scratch from any earlier (possibly aborted mid-forward)
@@ -234,25 +220,6 @@ mod tests {
         assert!(cap >= 8);
         ensure_zeroed(probe, 8);
         assert_eq!(probe.capacity(), cap);
-    }
-
-    #[test]
-    fn reserve_acts_presizes_both_ping_pong_buffers() {
-        let mut ws = Workspace::new();
-        ws.reserve_acts(64);
-        let acts = ws.take_acts();
-        assert!(acts[0].capacity() >= 64);
-        assert!(acts[1].capacity() >= 64);
-        ws.put_acts(acts);
-        // Growing to the reserved size afterwards must not reallocate.
-        let mut acts = ws.take_acts();
-        let ptr = acts[0].as_ptr();
-        ensure_zeroed(&mut acts[0], 64);
-        assert_eq!(acts[0].as_ptr(), ptr);
-        ws.put_acts(acts);
-        // Shrinking the request is a no-op.
-        ws.reserve_acts(8);
-        assert!(ws.take_acts()[0].capacity() >= 64);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! Lifecycle events ([`record_event`](crate::record_event)) land on
 //! whichever thread's ring happens to run the request at that moment:
 //! the client thread records `serve.enqueued`, a worker records
-//! `serve.dequeued` through `serve.responded`, and a *respawned* worker
-//! records the retry after a crash. [`stitch`] reassembles them into
+//! `serve.dequeued` through `serve.responded`, and a request parked
+//! behind a crash is scored by the *respawned* worker on another lane.
+//! [`stitch`] reassembles them into
 //! per-request timelines by trace id, ordered by the global `SeqCst`
 //! sequence (a total order even when clock stamps tie across lanes), and
 //! [`segments`] decomposes a served request's wall time into the
@@ -30,17 +31,13 @@ pub mod lifecycle {
     pub const ENQUEUED: &str = "serve.enqueued";
     /// Request popped off the bounded queue by a worker.
     pub const DEQUEUED: &str = "serve.dequeued";
-    /// Request admitted to a pass of two or more; `arg` = pass width.
-    pub const BATCH_JOINED: &str = "serve.batch_joined";
-    /// Parked request re-served by a respawned incarnation after a crash.
-    pub const RETRIED: &str = "serve.retried";
     /// Scoring started; `arg` = the `ServedVia` code.
     pub const SCORE_BEGIN: &str = "serve.score_begin";
     /// Scoring finished.
     pub const SCORE_END: &str = "serve.score_end";
     /// Request served below the full-joint rung; `arg` = `ServedVia` code.
     pub const DEGRADED: &str = "serve.degraded";
-    /// The worker serving this request panicked (terminal or pre-retry).
+    /// The worker panicked while scoring this request (terminal).
     pub const CRASHED: &str = "serve.crashed";
     /// Response fulfilled.
     pub const RESPONDED: &str = "serve.responded";
@@ -62,7 +59,7 @@ pub struct TimelineEvent {
     pub seq: u64,
     /// Timestamp, nanoseconds since the trace epoch.
     pub ts_ns: u64,
-    /// Event payload (batch width, `ServedVia` code, ...).
+    /// Event payload (the `ServedVia` code, ...).
     pub arg: u64,
     /// Causal parent event ref (0 = chain root).
     pub parent: u64,
@@ -125,14 +122,14 @@ pub fn stitch(snap: &TraceSnapshot) -> Vec<RequestTimeline> {
 
 /// A served request's wall time, decomposed along its timeline. The
 /// four segments telescope: they sum *exactly* to `total_ns`, because
-/// each boundary timestamp is shared by the segments on either side —
-/// retry/crash gaps fold into `coalesce_wait_ns`.
+/// each boundary timestamp is shared by the segments on either side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Segments {
     /// Enqueue to first dequeue.
     pub queue_wait_ns: u64,
-    /// First dequeue to the (last) score start: batch assembly, parking,
-    /// and any crash-retry gap.
+    /// First dequeue to the (last) score start: triage, parking, and the
+    /// wait behind earlier requests of the same drain (or, behind a
+    /// crash, for the respawned worker).
     pub coalesce_wait_ns: u64,
     /// Last score start to last score end.
     pub score_ns: u64,
@@ -150,8 +147,8 @@ pub struct Segments {
 pub fn segments(tl: &RequestTimeline) -> Option<Segments> {
     let enq = tl.first(lifecycle::ENQUEUED)?.ts_ns;
     let deq = tl.first(lifecycle::DEQUEUED)?.ts_ns;
-    // Last, not first: a crashed batch member's retry re-scores it, and
-    // the response comes from the final attempt.
+    // Last, not first: should a request ever be scored twice, the
+    // response comes from the final attempt.
     let begin = tl.last(lifecycle::SCORE_BEGIN)?.ts_ns;
     let end = tl.last(lifecycle::SCORE_END)?.ts_ns;
     let resp = tl.last(lifecycle::RESPONDED)?.ts_ns;
@@ -265,9 +262,9 @@ mod tests {
 
     #[test]
     fn crash_retry_uses_the_final_attempt_for_scoring() {
-        // First attempt's score_begin (seq 3) is aborted by a crash; the
-        // retry scores again on another lane. Segments must anchor on
-        // the *last* score pair, folding the crash gap into coalesce.
+        // First attempt's score_begin (seq 3) is aborted by a crash, and
+        // a second attempt scores on another lane. Segments must anchor
+        // on the *last* score pair, folding the crash gap into coalesce.
         let s = snap(vec![
             (
                 1,
@@ -280,8 +277,7 @@ mod tests {
             (
                 3,
                 vec![
-                    ev(lifecycle::RETRIED, 5, 900, 4, 4),
-                    ev(lifecycle::SCORE_BEGIN, 6, 950, 4, 5),
+                    ev(lifecycle::SCORE_BEGIN, 6, 950, 4, 4),
                     ev(lifecycle::SCORE_END, 7, 1_200, 4, 6),
                     ev(lifecycle::RESPONDED, 8, 1_250, 4, 7),
                 ],
@@ -289,7 +285,7 @@ mod tests {
             (0, vec![ev(lifecycle::ENQUEUED, 1, 100, 4, 0)]),
         ]);
         let timelines = stitch(&s);
-        let seg = segments(&timelines[0]).expect("retried request completes");
+        let seg = segments(&timelines[0]).expect("the second attempt completes");
         assert_eq!(seg.queue_wait_ns, 100);
         assert_eq!(seg.coalesce_wait_ns, 750, "crash gap folds into coalesce");
         assert_eq!(seg.score_ns, 250);

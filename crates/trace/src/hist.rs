@@ -282,8 +282,8 @@ pub struct HistogramSnapshot {
 impl HistogramSnapshot {
     /// Arithmetic mean of recorded values (0 when empty). Exact, unlike
     /// the bucketed quantiles: `sum` and `count` are tracked precisely,
-    /// which is what makes e.g. a mean batch width readable straight
-    /// off a `serve.batch_size` export.
+    /// which is what makes e.g. a mean latency readable straight off a
+    /// `serve.latency_us` export.
     #[must_use]
     pub fn mean(&self) -> f64 {
         if self.count == 0 {

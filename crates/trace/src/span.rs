@@ -203,8 +203,8 @@ pub fn record_raw(name: &'static str, start_ns: u64, end_ns: u64) {
 /// holds), on the *calling* thread's lane, causally chained to `parent`
 /// (the [`EventRef`] returned by the request's previous event, or
 /// [`EventRef::NONE`] at the chain root). `arg` carries a small event
-/// payload — batch width for `batch_joined`, the `ServedVia` code for
-/// `score_begin` — and the returned ref becomes the next event's parent.
+/// payload — the `ServedVia` code for `score_begin` and `degraded` —
+/// and the returned ref becomes the next event's parent.
 ///
 /// Taking the stamp instead of reading the clock lets a caller put the
 /// very reading its own latency arithmetic uses on the timeline, so the
