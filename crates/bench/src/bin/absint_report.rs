@@ -4,8 +4,10 @@
 //! evaluation set) scores clean images and successful corner cases
 //! through both detectors, calibrated on the same validated taps, and
 //! reports ROC-AUC side by side. Writes `BENCH_absint.json` into the
-//! current directory; the file holds AUCs and counts only, so a rerun
-//! reproduces it byte for byte.
+//! current directory; past its provenance the file holds AUCs and
+//! counts only, so a rerun reproduces it byte for byte.
+
+use std::path::Path;
 
 use dv_bench::Experiment;
 use dv_datasets::DatasetSpec;
@@ -91,8 +93,7 @@ fn main() {
         ));
     }
 
-    let mut json = String::from("{\n");
-    json.push_str("  \"detector\": {\n");
+    let mut json = String::from("  \"detector\": {\n");
     json.push_str("    \"dataset\": \"synth-digits\",\n");
     json.push_str(&format!("    \"taps\": {},\n", taps.len()));
     json.push_str(&format!("    \"clean\": {},\n", eval_set.clean.len()));
@@ -103,10 +104,8 @@ fn main() {
     json.push_str(&per_kind.join(",\n"));
     json.push_str("\n    ]\n");
     json.push_str("  }\n");
-    json.push_str("}\n");
-    std::fs::write("BENCH_absint.json", &json).expect("cannot write BENCH_absint.json");
-    println!("{json}");
-    eprintln!("wrote BENCH_absint.json");
+    dv_bench::artifact::write_bench(Path::new("."), "absint", false, &json)
+        .expect("cannot write BENCH_absint.json");
 
     assert!(
         auc_joint > 0.55 && auc_joint <= 1.0,

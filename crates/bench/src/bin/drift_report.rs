@@ -1,7 +1,6 @@
 //! Drift-detection benchmark: detection latency vs window size under
 //! metamorphic drift ramps, plus the dv-serve circuit breaker end to
-//! end. Writes `BENCH_drift.json` and `METRICS.json` (the serve phase's
-//! registry: drift gauges and backpressure counters side by side).
+//! end. Writes `BENCH_drift.json`.
 //!
 //! Phase 1 — monitor-level detection latency. For each seed, window
 //! size, and metamorphic ramp (dv-imgops brightness / contrast /
@@ -20,9 +19,10 @@
 //! closes. Accounting must stay exact through both transitions.
 //!
 //! `--quick` shrinks the stationary stretch and window list for the CI
-//! smoke run; the zero-false-alarm and every-ramp-detected assertions
-//! hold in both modes.
+//! smoke run (and writes under `target/quick/`); the zero-false-alarm
+//! and every-ramp-detected assertions hold in both modes.
 
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -186,7 +186,6 @@ struct ServePhase {
     served_drift_degraded: u64,
     drift_obs_dropped: u64,
     accounting_exact: bool,
-    metrics_json: String,
 }
 
 /// The breaker end to end, mirroring dv-serve's integration test:
@@ -254,7 +253,6 @@ fn serve_phase(
     }
     assert!(closed, "clean traffic must close the breaker");
 
-    let metrics_json = server.metrics_json();
     let m = server.shutdown();
     ServePhase {
         submitted: m.submitted,
@@ -263,7 +261,6 @@ fn serve_phase(
         served_drift_degraded: m.served_drift_degraded,
         drift_obs_dropped: m.drift_obs_dropped,
         accounting_exact: m.terminal_outcomes() == m.submitted,
-        metrics_json,
     }
 }
 
@@ -323,16 +320,14 @@ fn main() {
         .map(|c| format!("seed {} window {} ramp {}", c.seed, c.window, c.ramp))
         .collect();
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!(
+    let mut json = format!(
         "  \"seeds\": [{}],\n",
         SEEDS
             .iter()
             .map(u64::to_string)
             .collect::<Vec<_>>()
             .join(", ")
-    ));
+    );
     json.push_str(&format!(
         "  \"total_false_alarms\": {total_false_alarms},\n"
     ));
@@ -402,11 +397,8 @@ fn main() {
         serve.accounting_exact
     ));
     json.push_str("  }\n");
-    json.push_str("}\n");
-    std::fs::write("BENCH_drift.json", &json).expect("cannot write BENCH_drift.json");
-    std::fs::write("METRICS.json", &serve.metrics_json).expect("cannot write METRICS.json");
-    println!("{json}");
-    eprintln!("wrote BENCH_drift.json, METRICS.json");
+    dv_bench::artifact::write_bench(Path::new("."), "drift", quick, &json)
+        .expect("cannot write BENCH_drift.json");
 
     assert_eq!(
         total_false_alarms, 0,

@@ -1,8 +1,8 @@
 //! GEMM roofline microbenchmark: the dv-tensor kernels vs the
 //! pre-refactor loop nests, written to `BENCH_gemm.json`.
 //!
-//! Measures GFLOP/s on the hot shapes the trace report surfaces in this
-//! workspace — the four convolutions of the digits model, the two dense
+//! Measures GFLOP/s on the hot shapes of this workspace's traced
+//! runs — the four convolutions of the digits model, the two dense
 //! probe taps, and a gram-style `A * B^T` — plus a compute-bound 256^3
 //! roofline shape. Three arms per row: the verbatim pre-refactor kernels
 //! (`reference`: the blocked nest, and for a convolution an explicit
@@ -16,7 +16,9 @@
 //! All arms are checked bit-identical per row before timing — the
 //! speedups below are for byte-for-byte the same outputs. Runs as a CI
 //! smoke with `--quick` (`cargo run --release -p dv-bench --features simd
-//! --bin gemm_roofline -- --quick`).
+//! --bin gemm_roofline -- --quick`), which writes under `target/quick/`.
+
+use std::path::Path;
 
 use dv_bench::models;
 use dv_datasets::DatasetSpec;
@@ -312,13 +314,7 @@ fn run_conv(label: &str, geom: &Conv2dGeom, oc: usize, quick: bool) -> Row {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!(
-        "  \"simd_available\": {},\n",
-        gemm::simd_available()
-    ));
-    json.push_str("  \"shapes\": [\n");
+    let mut json = String::from("  \"shapes\": [\n");
 
     let mut rows = Vec::new();
     for (i, (geom, oc)) in models::conv_layers(DatasetSpec::SynthDigits)
@@ -402,10 +398,8 @@ fn main() {
     if headline.is_finite() {
         eprintln!("single-thread simd speedup on hot shapes (geomean): {headline:.2}x");
     }
-    json.push_str("}\n");
-    std::fs::write("BENCH_gemm.json", &json).expect("cannot write BENCH_gemm.json");
-    println!("{json}");
-    eprintln!("wrote BENCH_gemm.json");
+    dv_bench::artifact::write_bench(Path::new("."), "gemm", quick, &json)
+        .expect("cannot write BENCH_gemm.json");
 }
 
 #[cfg(test)]

@@ -29,34 +29,19 @@
 //! snapshot + stitch, then `dv_trace::reset()` — so per-thread rings
 //! never wrap (`dropped` must stay 0) no matter how long the soak runs.
 //!
-//! `--quick` shrinks the soak for CI. The binary exits 2 when built
-//! without `--features trace`, because there is nothing to audit.
+//! `--quick` shrinks the soak for CI (and writes under `target/quick/`).
+//! The binary exits 2 when built without `--features trace`, because
+//! there is nothing to audit.
 
 use std::collections::BTreeMap;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use dv_bench::models::stripe_fixture;
-use dv_core::{DeepValidator, ValidatorConfig};
-use dv_runtime::Pool;
-use dv_serve::{FaultPlan, Rejected, RetryPolicy, ServeConfig, ServedVia, Server, ShutdownPolicy};
+use dv_bench::soak::{quiet_injected_panics, stripe_validator, submit_with_retry};
+use dv_serve::{FaultPlan, ServeConfig, ServedVia, Server, ShutdownPolicy};
 use dv_tensor::Tensor;
 use dv_trace::{LogLinearHistogram, RequestTimeline};
-
-/// Silence the panic spew from *injected* worker faults; forward every
-/// other panic to the default hook so genuine failures stay loud.
-fn quiet_injected_panics() {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<String>()
-            .is_some_and(|s| s.contains("injected fault"));
-        if !injected {
-            prev(info);
-        }
-    }));
-}
 
 /// One audited response: the server's own wall-time report plus the
 /// rung that served it, keyed by trace id into the stitched timelines.
@@ -80,7 +65,6 @@ struct SoakOut {
 fn soak(
     server: &Server,
     images: &[Tensor],
-    retry: &RetryPolicy,
     queue_capacity: usize,
     requests: u64,
     wave: u64,
@@ -97,27 +81,10 @@ fn soak(
         let end = (i + wave).min(requests);
         let mut pendings = Vec::new();
         for j in i..end {
-            let img = images[(j as usize) % images.len()].clone();
-            let mut attempt = 0u32;
-            loop {
-                match server.try_submit(img.clone()) {
-                    Ok(p) => {
-                        pendings.push(p);
-                        out.submitted += 1;
-                        break;
-                    }
-                    Err(Rejected::QueueFull { retry_after }) => {
-                        let tranche = retry_after.saturating_mul(queue_capacity as u32);
-                        match retry.delay(j, attempt, Some(tranche)) {
-                            Some(backoff) => {
-                                attempt += 1;
-                                std::thread::sleep(backoff);
-                            }
-                            None => break,
-                        }
-                    }
-                    Err(Rejected::ShuttingDown) => break,
-                }
+            let img = &images[(j as usize) % images.len()];
+            if let Some(p) = submit_with_retry(server, img, j, queue_capacity) {
+                pendings.push(p);
+                out.submitted += 1;
             }
         }
         for pending in pendings {
@@ -193,24 +160,18 @@ fn via_code(via: ServedVia) -> usize {
 struct AuditTotals {
     vias: [ViaAgg; 4],
     reconciled: u64,
-    missing_timeline: u64,
     worst_gap_ns: u64,
 }
 
 /// Audit one phase's responses against its own stitched timelines
 /// (trace ids restart per server, so timelines never mix across
 /// phases), folding segment sums into the global per-via aggregates.
-fn audit_phase(phase: &SoakOut, sampled_all: bool, totals: &mut AuditTotals) {
+fn audit_phase(phase: &SoakOut, totals: &mut AuditTotals) {
     for a in &phase.audited {
-        let Some(tl) = phase.timelines.get(&a.trace) else {
-            assert!(
-                !sampled_all,
-                "response trace {} has no stitched timeline despite 1:1 sampling",
-                a.trace
-            );
-            totals.missing_timeline += 1;
-            continue;
-        };
+        let tl = phase
+            .timelines
+            .get(&a.trace)
+            .unwrap_or_else(|| panic!("response trace {} has no stitched timeline", a.trace));
         let seg = dv_trace::segments(tl).unwrap_or_else(|| {
             panic!(
                 "served request {} has an incomplete timeline: {:?}",
@@ -256,18 +217,7 @@ fn main() {
     let faulted_requests: u64 = if quick { 400 } else { 4000 };
     let pressured_requests: u64 = if quick { 64 } else { 384 };
 
-    let (net, images, labels) = stripe_fixture();
-    let validator = Arc::new(Pool::new(1).install(|| {
-        DeepValidator::fit(&net, &images, &labels, &ValidatorConfig::default())
-            .expect("validator fit failed")
-    }));
-    let plan = Arc::new(net.plan());
-    let retry = RetryPolicy {
-        base: Duration::from_micros(100),
-        max_delay: Duration::from_millis(20),
-        max_attempts: 10,
-        seed: 0xD5,
-    };
+    let (validator, plan, images) = stripe_validator();
 
     // ---- Phase 1: fault soak (the serve_soak regime). ---------------
     let queue_capacity = 128usize;
@@ -292,14 +242,7 @@ fn main() {
 
     dv_trace::reset();
     let t0 = dv_trace::Stopwatch::start();
-    let faulted = soak(
-        &server,
-        &images,
-        &retry,
-        queue_capacity,
-        faulted_requests,
-        200,
-    );
+    let faulted = soak(&server, &images, queue_capacity, faulted_requests, 200);
     // Tail exemplars live in this server's latency histogram; resolve
     // them against this phase's timelines before the server goes away.
     let p99_trace = server.latency_exemplar(0.99);
@@ -346,7 +289,7 @@ fn main() {
         };
         let server2 = Server::start(Arc::clone(&validator), Arc::clone(&plan), cfg2);
         dv_trace::reset();
-        let out = soak(&server2, &images, &retry, 64, per_deadline, 64);
+        let out = soak(&server2, &images, 64, per_deadline, 64);
         let m2 = server2.shutdown();
         assert_eq!(
             m2.terminal_outcomes(),
@@ -361,7 +304,6 @@ fn main() {
     let wall_s = t0.elapsed_secs_f64();
 
     // ---- The audit: per-request reconciliation. --------------------
-    let sampled_all = dv_runtime::config::trace_sample_every() <= 1;
     let mut totals = AuditTotals {
         vias: [
             ViaAgg::new("full_joint"),
@@ -370,12 +312,11 @@ fn main() {
             ViaAgg::new("drift_degraded"),
         ],
         reconciled: 0,
-        missing_timeline: 0,
         worst_gap_ns: 0,
     };
-    audit_phase(&faulted, sampled_all, &mut totals);
+    audit_phase(&faulted, &mut totals);
     for phase in &pressured_phases {
-        audit_phase(phase, sampled_all, &mut totals);
+        audit_phase(phase, &mut totals);
     }
 
     let requests = faulted_requests + per_deadline * deadlines_us.len() as u64;
@@ -388,11 +329,10 @@ fn main() {
             .sum::<usize>()) as u64;
     let failed = faulted.failed + pressured_phases.iter().map(|p| p.failed).sum::<u64>();
     let waves = faulted.waves + pressured_phases.iter().map(|p| p.waves).sum::<u64>();
-    let auditable = audited_total - totals.missing_timeline;
-    let pass_ratio = if auditable == 0 {
+    let pass_ratio = if audited_total == 0 {
         0.0
     } else {
-        totals.reconciled as f64 / auditable as f64
+        totals.reconciled as f64 / audited_total as f64
     };
 
     eprintln!(
@@ -429,9 +369,7 @@ fn main() {
          p999 exemplar trace {p999_trace} resolved={p999_resolved}"
     );
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!("  \"requests\": {requests},\n"));
+    let mut json = format!("  \"requests\": {requests},\n");
     json.push_str(&format!("  \"faulted_requests\": {faulted_requests},\n"));
     json.push_str(&format!(
         "  \"pressured_requests\": {pressured_requests},\n"
@@ -478,33 +416,29 @@ fn main() {
     json.push_str(&format!("  \"p99_exemplar_resolved\": {p99_resolved},\n"));
     json.push_str(&format!("  \"p999_exemplar_trace\": {p999_trace},\n"));
     json.push_str(&format!("  \"p999_exemplar_resolved\": {p999_resolved}\n"));
-    json.push_str("}\n");
-    std::fs::write("BENCH_audit.json", &json).expect("cannot write BENCH_audit.json");
-    println!("{json}");
-    eprintln!("wrote BENCH_audit.json");
+    dv_bench::artifact::write_bench(Path::new("."), "audit", quick, &json)
+        .expect("cannot write BENCH_audit.json");
 
     // ---- Gates. ----------------------------------------------------
     assert!(
-        auditable * 2 >= requests,
+        audited_total * 2 >= requests,
         "fewer than half the soaked requests produced auditable responses \
-         ({auditable} of {requests})"
+         ({audited_total} of {requests})"
     );
     assert_eq!(
         totals.reconciled,
-        auditable,
+        audited_total,
         "latency attribution failed: {} of {} audited requests do not reconcile \
          segment sums with the reported wall time exactly (worst gap {} ns)",
-        auditable - totals.reconciled,
-        auditable,
+        audited_total - totals.reconciled,
+        audited_total,
         totals.worst_gap_ns
     );
-    if sampled_all {
-        assert!(
-            p99_resolved && p999_resolved,
-            "tail exemplars must resolve to stitched timelines \
-             (p99 {p99_trace}: {p99_resolved}, p999 {p999_trace}: {p999_resolved})"
-        );
-    }
+    assert!(
+        p99_resolved && p999_resolved,
+        "tail exemplars must resolve to stitched timelines \
+         (p99 {p99_trace}: {p99_resolved}, p999 {p999_trace}: {p999_resolved})"
+    );
     // The crossing-the-ladder construction is probabilistic per wave;
     // over the full run's 400 pressured requests it is effectively
     // certain, but a 64-request --quick smoke only reports the mix.

@@ -16,35 +16,19 @@
 //!   off — how the full/reduced/confidence rung mix shifts as the
 //!   per-request deadline tightens.
 //!
-//! `--quick` shrinks the request counts for CI; the rejection-reduction
-//! assert scales with the offered load so it gates both modes.
+//! `--quick` shrinks the request counts for CI (and writes under
+//! `target/quick/`); the rejection-reduction assert scales with the
+//! offered load so it gates both modes.
 
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use dv_bench::models::stripe_fixture;
-use dv_core::{DeepValidator, ScoreWorkspace, ValidatorConfig};
+use dv_bench::soak::{quiet_injected_panics, stripe_validator, submit_with_retry};
+use dv_core::{DeepValidator, ScoreWorkspace};
 use dv_nn::InferencePlan;
-use dv_runtime::Pool;
-use dv_serve::{
-    FaultPlan, Rejected, RetryPolicy, ScoreError, ServeConfig, ServedVia, Server, ShutdownPolicy,
-};
+use dv_serve::{FaultPlan, ScoreError, ServeConfig, ServedVia, Server, ShutdownPolicy};
 use dv_tensor::Tensor;
-
-/// Silence the panic spew from *injected* worker faults; forward every
-/// other panic to the default hook so genuine failures stay loud.
-fn quiet_injected_panics() {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<String>()
-            .is_some_and(|s| s.contains("injected fault"));
-        if !injected {
-            prev(info);
-        }
-    }));
-}
 
 fn base_cfg() -> ServeConfig {
     ServeConfig {
@@ -154,15 +138,14 @@ struct SoakReport {
 /// terminal outcome; the counter accounting must be exact, crashes
 /// included.
 ///
-/// The client honors backpressure with [`RetryPolicy`]: `retry_after`
-/// is the server's per-slot drain estimate, so on a rejection the
-/// client backs off long enough for a full queue's worth of slots to
-/// drain rather than racing the very next free one — one rejection then
-/// buys on the order of `queue_capacity` accepted submissions instead
-/// of one. The queue stays at 128 (not deeper) deliberately: under the
-/// injected fault load the effective per-job drain time is ~10x the
-/// fault-free cost, and a deeper queue would trade the rejections for
-/// deadline expirations instead of throughput.
+/// The client honors backpressure with [`submit_with_retry`]: on a
+/// rejection it backs off long enough for a full queue's worth of slots
+/// to drain rather than racing the very next free one — one rejection
+/// then buys on the order of `queue_capacity` accepted submissions
+/// instead of one. The queue stays at 128 (not deeper) deliberately:
+/// under the injected fault load the effective per-job drain time is
+/// ~10x the fault-free cost, and a deeper queue would trade the
+/// rejections for deadline expirations instead of throughput.
 fn phase_soak(
     validator: &Arc<DeepValidator>,
     plan: &Arc<InferencePlan>,
@@ -180,12 +163,6 @@ fn phase_soak(
         spike: Duration::from_millis(2),
     });
     let server = Server::start(Arc::clone(validator), Arc::clone(plan), cfg);
-    let retry = RetryPolicy {
-        base: Duration::from_micros(100),
-        max_delay: Duration::from_millis(20),
-        max_attempts: 10,
-        seed: 0xD5,
-    };
 
     let t0 = dv_trace::Stopwatch::start();
     let mut pendings = Vec::new();
@@ -199,28 +176,7 @@ fn phase_soak(
         } else {
             images[(i as usize) % images.len()].clone()
         };
-        let mut attempt = 0u32;
-        loop {
-            match server.try_submit(img.clone()) {
-                Ok(p) => {
-                    pendings.push(p);
-                    break;
-                }
-                Err(Rejected::QueueFull { retry_after }) => {
-                    let tranche = retry_after.saturating_mul(queue_capacity as u32);
-                    match retry.delay(i, attempt, Some(tranche)) {
-                        Some(backoff) => {
-                            attempt += 1;
-                            std::thread::sleep(backoff);
-                        }
-                        // Attempt budget spent: shed upstream (the
-                        // server already counted each rejection).
-                        None => break,
-                    }
-                }
-                Err(Rejected::ShuttingDown) => break,
-            }
-        }
+        pendings.extend(submit_with_retry(&server, &img, i, queue_capacity));
     }
 
     let mut lost_or_hung = 0u64;
@@ -309,12 +265,7 @@ fn main() {
     let soak_requests: u64 = if quick { 400 } else { 4000 };
     let sweep_requests: u64 = if quick { 64 } else { 256 };
 
-    let (net, images, labels) = stripe_fixture();
-    let validator = Arc::new(Pool::new(1).install(|| {
-        DeepValidator::fit(&net, &images, &labels, &ValidatorConfig::default())
-            .expect("validator fit failed")
-    }));
-    let plan = Arc::new(net.plan());
+    let (validator, plan, images) = stripe_validator();
 
     eprintln!("phase A: identity (injection off, served + batched scoring)");
     let identical =
@@ -356,9 +307,7 @@ fn main() {
         s.recovery_count,
     );
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!("  \"identity\": {identical},\n"));
+    let mut json = format!("  \"identity\": {identical},\n");
     json.push_str("  \"soak\": {\n");
     json.push_str(&format!("    \"requests\": {},\n", soak.requests));
     json.push_str(&format!("    \"wall_s\": {:.3},\n", soak.wall_s));
@@ -420,10 +369,8 @@ fn main() {
         ));
     }
     json.push_str("  ]\n");
-    json.push_str("}\n");
-    std::fs::write("BENCH_serving.json", &json).expect("cannot write BENCH_serving.json");
-    println!("{json}");
-    eprintln!("wrote BENCH_serving.json");
+    dv_bench::artifact::write_bench(Path::new("."), "serving", quick, &json)
+        .expect("cannot write BENCH_serving.json");
 
     assert!(identical, "served responses diverged from score_into");
     assert_eq!(soak.lost_or_hung, 0, "soak lost or hung requests");

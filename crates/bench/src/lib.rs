@@ -15,13 +15,20 @@
 //! 3. grid-search corner cases ([`dv_eval::search`]),
 //! 4. fit (or load) the Deep Validation detector ([`dv_core`]),
 //! 5. score and report.
+//!
+//! The harness binaries (`serve_soak`, `latency_audit`, `drift_report`,
+//! `absint_report`, `gemm_roofline`) write their `BENCH_*.json` through
+//! [`artifact::write_bench`]; the two serving harnesses share the
+//! [`soak`] client.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod artifact;
 pub mod cache;
 pub mod detector_adapters;
 pub mod models;
 pub mod pipeline;
+pub mod soak;
 
 pub use pipeline::Experiment;

@@ -483,16 +483,14 @@ impl DeepValidator {
             let row = &out.logits()[bi * classes..(bi + 1) * classes];
             let predicted = argmax_row(row);
             for (t, &p) in taps.iter().enumerate() {
-                // Position `v` in the validated list (= `t` unmasked), so
-                // masked telemetry lands in the same tap as full scoring.
+                // Position `v` in the validated list (= `t` unmasked):
+                // the SVMs are indexed by validated position.
                 let v = keep.map_or(t, |k| k[t]);
                 let dims = plan.probe_item_dims(p);
                 let len: usize = dims.iter().product();
                 self.reducer
                     .reduce_into(dims, &out.probe(t)[bi * len..(bi + 1) * len], rep);
-                let d = -(self.svms[v][predicted].decision(rep) as f32);
-                dv_trace::record_discrepancy(v, d);
-                per_layer.push(d);
+                per_layer.push(-(self.svms[v][predicted].decision(rep) as f32));
             }
             on_image(predicted, softmax_max(row));
         }

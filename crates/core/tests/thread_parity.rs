@@ -1,11 +1,12 @@
-//! End-to-end thread-count parity: Algorithm 1 (fit) and Algorithm 2
-//! (discrepancy scoring) must produce bit-identical detectors and scores
-//! whether the `dv-runtime` pool runs sequentially or on four threads.
+//! End-to-end thread-count parity: Algorithm 1 (fit), Algorithm 2
+//! (discrepancy scoring) and batch inference must produce bit-identical
+//! detectors, scores and labels whether the `dv-runtime` pool runs
+//! sequentially or on four threads.
 
 use dv_core::{DeepValidator, ValidatorConfig};
 use dv_nn::layers::{Dense, Flatten, Relu};
 use dv_nn::optim::Adam;
-use dv_nn::train::{fit, TrainConfig};
+use dv_nn::train::{fit, predict_labels, TrainConfig};
 use dv_nn::Network;
 use dv_runtime::Pool;
 use dv_tensor::Tensor;
@@ -55,12 +56,17 @@ fn validator_fit_and_scores_are_bit_identical_across_thread_counts() {
             let validator = DeepValidator::fit(&net, &images, &labels, &ValidatorConfig::default())
                 .expect("fit failed");
             let reports = validator.discrepancies_with_plan(&plan, &images[..16]);
-            (validator.num_svms(), reports)
+            (
+                validator.num_svms(),
+                reports,
+                predict_labels(&plan, &images),
+            )
         })
     };
-    let (svms1, reports1) = run(1);
-    let (svms4, reports4) = run(4);
+    let (svms1, reports1, labels1) = run(1);
+    let (svms4, reports4, labels4) = run(4);
     assert_eq!(svms1, svms4, "SVM ensemble size differs");
+    assert_eq!(labels1, labels4, "batch inference labels differ");
     assert_eq!(reports1.len(), reports4.len());
     for (i, (a, b)) in reports1.iter().zip(&reports4).enumerate() {
         assert_eq!(a.predicted, b.predicted, "prediction differs on image {i}");

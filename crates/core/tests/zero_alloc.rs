@@ -1,4 +1,4 @@
-//! Proves the acceptance criterion directly: once the workspace and
+//! Proves the acceptance condition directly: once the workspace and
 //! output buffer are warm, `DeepValidator::score_into` through a shared
 //! [`InferencePlan`] performs **zero** heap allocations per image.
 //!

@@ -98,9 +98,6 @@ struct Shared {
     metrics: Metrics,
     /// Present when [`ServeConfig::breaker`] was set.
     breaker: Option<BreakerShared>,
-    /// Record spans for every `trace_sample`-th request (1 = all); from
-    /// `DV_TRACE_SAMPLE`, cached at server start.
-    trace_sample: u64,
     /// Server start on the trace clock.
     start_ns: u64,
     /// Cleared at the start of shutdown: submissions are refused.
@@ -136,16 +133,6 @@ struct Shared {
 }
 
 impl Shared {
-    /// Whether request `seq`'s lifecycle events should be recorded:
-    /// tracing is compiled in *and* the request falls in the
-    /// deterministic `DV_TRACE_SAMPLE` sample. `tracing_enabled()` is a
-    /// constant, so with the feature off this folds to `false` and
-    /// every event call site compiles away.
-    fn traced(&self, seq: u64) -> bool {
-        dv_trace::tracing_enabled()
-            && (self.trace_sample <= 1 || seq.is_multiple_of(self.trace_sample))
-    }
-
     /// Backpressure hint: mean observed time per drained job (how long
     /// until one queue slot frees up), clamped to a sane band, with a
     /// fixed default before any job has been drained.
@@ -334,7 +321,6 @@ impl Server {
             queue: BoundedQueue::bounded(cfg.queue_capacity),
             metrics: Metrics::new(),
             breaker,
-            trace_sample: dv_runtime::config::trace_sample_every(),
             start_ns: now_ns(),
             accepting: AtomicBool::new(true),
             shedding: AtomicBool::new(false),
@@ -408,7 +394,7 @@ impl Server {
         // the timeline does; a rejected push leaves a dangling one-event
         // timeline, which the stitcher tolerates (no segments, no flow
         // arrows).
-        let last_event = if self.shared.traced(seq) {
+        let last_event = if dv_trace::tracing_enabled() {
             dv_trace::record_event(
                 "serve.enqueued",
                 submitted_ns,
@@ -602,7 +588,7 @@ fn worker_body(shared: &Arc<Shared>, slot: usize) {
     if shared.front_scoring[slot].swap(false, Ordering::SeqCst) {
         if let Some(job) = shared.parked[slot].pop_front() {
             shared.metrics.inc(names::REQUESTS_CRASHED);
-            if shared.traced(job.seq) {
+            if dv_trace::tracing_enabled() {
                 dv_trace::record_event("serve.crashed", now_ns(), job.trace, job.last_event, 0);
             }
             job.promise.fulfill(Err(ScoreError::WorkerCrashed));
@@ -655,7 +641,7 @@ fn worker_loop(shared: &Arc<Shared>, slot: usize) {
 /// shedding, its deadline has passed, or its input is malformed, and
 /// returned for parking otherwise.
 fn triage(shared: &Shared, mut job: Job, now: u64) -> Option<Job> {
-    if shared.traced(job.seq) {
+    if dv_trace::tracing_enabled() {
         job.last_event =
             dv_trace::record_event("serve.dequeued", now, job.trace, job.last_event, 0);
     }
@@ -697,7 +683,7 @@ fn serve_parked(shared: &Shared, slot: usize, ctx: &mut WorkerCtx) {
             let remaining_us = job.deadline_ns.saturating_sub(opened_ns) / 1_000;
             let via = serve_rung(remaining_us, shared.drift_degraded(job.seq), &est, reduced);
             input.copy_from_slice(job.image.data());
-            if shared.traced(job.seq) {
+            if dv_trace::tracing_enabled() {
                 dv_trace::record_raw("serve.queued", job.submitted_ns, opened_ns);
                 if via != ServedVia::FullJoint {
                     let (id, parent) = (job.trace, job.last_event);
@@ -725,15 +711,12 @@ fn serve_front(
     shared: &Shared,
     slot: usize,
     ctx: &mut WorkerCtx,
-    seq: u64,
+    // Read only by fault injection.
+    #[cfg_attr(not(feature = "fault-inject"), allow(unused_variables))] seq: u64,
     via: ServedVia,
     opened_ns: u64,
 ) {
     let pen = &shared.parked[slot];
-    let traced = shared.traced(seq);
-    // Spans inside the pass follow the deterministic `DV_TRACE_SAMPLE`
-    // sample; telemetry (metrics, drift observations) never does.
-    let _sample = dv_trace::sample_scope(traced);
     dv_trace::span!("serve.pass");
     shared.front_scoring[slot].store(true, Ordering::SeqCst);
 
@@ -748,7 +731,7 @@ fn serve_front(
     }
 
     let begin_ns = now_ns();
-    if traced {
+    if dv_trace::tracing_enabled() {
         pen.for_front_mut(|job| {
             let (id, parent) = (job.trace, job.last_event);
             job.last_event =
@@ -765,7 +748,7 @@ fn serve_front(
     let mut job = pen
         .pop_front()
         .expect("the scored request is still parked at the front");
-    if traced {
+    if dv_trace::tracing_enabled() {
         job.last_event =
             dv_trace::record_event("serve.score_end", end_ns, job.trace, job.last_event, 0);
     }
@@ -798,7 +781,7 @@ fn respond(
         shared.metrics.inc(names::DEADLINE_MISSED);
     }
     shared.metrics.record_latency_us(total_us, job.trace.0);
-    if shared.traced(job.seq) {
+    if dv_trace::tracing_enabled() {
         dv_trace::record_event("serve.responded", finish_ns, job.trace, job.last_event, 0);
     }
     let joint = (via == ServedVia::FullJoint).then(|| per_layer.iter().sum::<f32>());

@@ -118,21 +118,16 @@ fn responses_carry_trace_ids_that_resolve_to_stitched_timelines() {
         return;
     }
 
-    // With tracing on (and DV_TRACE_SAMPLE unset in CI), every request's
-    // lifecycle stitches into a timeline whose segments telescope.
+    // With tracing on, every request's lifecycle stitches into a
+    // timeline whose segments telescope.
     let snap = dv_trace::snapshot();
     assert_eq!(snap.dropped, 0, "30 serialized requests never fill a ring");
     let timelines = dv_trace::stitch(&snap);
-    let sampled_all = dv_runtime::config::trace_sample_every() <= 1;
     for resp in &responses {
-        let Some(tl) = timelines.iter().find(|t| t.trace == resp.trace) else {
-            assert!(
-                !sampled_all,
-                "sampled-in request {} has a timeline",
-                resp.seq
-            );
-            continue;
-        };
+        let tl = timelines
+            .iter()
+            .find(|t| t.trace == resp.trace)
+            .unwrap_or_else(|| panic!("request {} has no timeline", resp.seq));
         assert!(
             tl.events.windows(2).all(|w| w[0].seq < w[1].seq),
             "stitched events are in global sequence order"
@@ -148,8 +143,6 @@ fn responses_carry_trace_ids_that_resolve_to_stitched_timelines() {
             assert_eq!(first.parent, 0, "the enqueue event roots the chain");
         }
     }
-    if sampled_all {
-        // The p99 exemplar resolves to a full stitched timeline.
-        assert!(timelines.iter().any(|t| t.trace == p99_exemplar));
-    }
+    // The p99 exemplar resolves to a full stitched timeline.
+    assert!(timelines.iter().any(|t| t.trace == p99_exemplar));
 }

@@ -100,6 +100,13 @@ pub fn force_scalar_kernels(on: bool) {
     FORCE_SCALAR.store(on, Ordering::SeqCst);
 }
 
+/// Is the `simd` feature compiled in? Whether the running CPU can use
+/// it is [`simd_available`].
+#[must_use]
+pub const fn simd_compiled() -> bool {
+    cfg!(feature = "simd")
+}
+
 /// True when the `simd` feature is compiled in and the running CPU
 /// supports the AVX kernel.
 pub fn simd_available() -> bool {
@@ -932,6 +939,7 @@ mod tests {
         assert!(!simd_kernels_active());
         force_scalar_kernels(false);
         assert_eq!(simd_kernels_active(), simd_available());
+        assert!(simd_compiled() || !simd_available());
     }
 
     #[test]

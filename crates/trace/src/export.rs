@@ -154,8 +154,8 @@ pub struct StageTotal {
 /// scanned in start order with a stack; a span contained in the one
 /// below it on the stack bills its duration against the parent's
 /// self-time. Under a single root span the self-times of all stages sum
-/// exactly to the root's inclusive time, which is what makes the
-/// per-stage table in `BENCH_trace.json` add up to wall time.
+/// exactly to the root's inclusive time, so a per-stage table adds up
+/// to the root's wall time (`crates/bench/tests/trace_partition.rs`).
 #[must_use]
 pub fn stage_totals(snap: &TraceSnapshot) -> Vec<StageTotal> {
     struct Frame<'a> {

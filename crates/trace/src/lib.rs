@@ -10,20 +10,19 @@
 //!   quantile-identical), instantiable per subsystem or process-wide via
 //!   [`global()`]; [`Stopwatch`] + [`now_ns`], the workspace's only
 //!   sanctioned wall-clock (dv-lint R8 bans raw `std::time::Instant`
-//!   elsewhere); [`metrics_json`] for `METRICS.json` snapshots.
+//!   elsewhere); [`metrics_json`], a flat JSON snapshot of a registry;
+//!   [`Welford`], streaming mean/variance for dv-drift's calibration.
 //! - **Behind the `trace` feature** — [`span!`]/[`TraceGuard`] scoped
 //!   timers recording into fixed-size per-thread ring buffers,
-//!   sequence-numbered across threads; per-tap discrepancy telemetry
-//!   ([`record_discrepancy`]/[`discrepancy_summary`], running
-//!   mean/var/max via Welford); request-scoped lifecycle events
+//!   sequence-numbered across threads; request-scoped lifecycle events
 //!   ([`record_event`] with a [`TraceId`] + causal [`EventRef`] parent)
 //!   stitched into cross-thread timelines by [`stitch`]/[`segments`];
-//!   [`chrome_trace_json`] (`trace.json`, one lane per Crew worker,
-//!   flow arrows following each request across lanes) and
-//!   [`stage_totals`] (per-stage self-time breakdown). With the feature
-//!   off — the default — every probe is a true no-op: [`TraceGuard`] is
-//!   zero-sized, nothing reads a clock, and the zero-alloc and
-//!   bit-identity suites hold in both modes.
+//!   [`chrome_trace_json`] (chrome://tracing / Perfetto JSON, one lane
+//!   per Crew worker, flow arrows following each request across lanes)
+//!   and [`stage_totals`] (per-stage self-time breakdown). With the
+//!   feature off — the default — every probe is a true no-op:
+//!   [`TraceGuard`] is zero-sized, nothing reads a clock, and the
+//!   zero-alloc and bit-identity suites hold in both modes.
 //!
 //! # Determinism contract
 //!
@@ -67,9 +66,8 @@ pub use export::{chrome_trace_json, metrics_json, stage_totals, StageTotal};
 pub use hist::{bucket_floor, bucket_index, HistogramSnapshot, LogLinearHistogram, BUCKETS};
 pub use metric::{global, Counter, Gauge, MetricEntry, MetricValue, MetricsRegistry};
 pub use span::{
-    discrepancy_summary, record_discrepancy, record_event, record_raw, reset, sample_scope,
-    snapshot, tracing_enabled, EventRef, LaneSnapshot, SampleGuard, SpanRecord, TraceGuard,
-    TraceId, TraceSnapshot, MAX_LANES, MAX_TAPS, RING_CAP,
+    record_event, record_raw, reset, snapshot, tracing_enabled, EventRef, LaneSnapshot, SpanRecord,
+    TraceGuard, TraceId, TraceSnapshot, MAX_LANES, RING_CAP,
 };
 pub use time::{now_ns, Stopwatch};
-pub use welford::{TapSummary, Welford};
+pub use welford::Welford;

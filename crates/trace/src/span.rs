@@ -18,11 +18,6 @@
 //! `crates/core/tests/zero_alloc.rs` and the plan-equivalence suites,
 //! which CI runs with the feature both off and on.
 
-use crate::welford::TapSummary;
-
-/// Maximum probe taps tracked by discrepancy telemetry.
-pub const MAX_TAPS: usize = 32;
-
 /// Spans retained per thread lane (older entries are overwritten and
 /// counted as dropped).
 pub const RING_CAP: usize = 1 << 13;
@@ -63,7 +58,7 @@ impl TraceId {
 /// *causal parent* of the next event on the same request: chaining them
 /// reconstructs the request's cross-thread path even when wall-clock
 /// stamps tie. 0 ([`EventRef::NONE`]) means "no parent" — the chain
-/// root, or an event that was sampled out / compiled out.
+/// root, or an event that was compiled out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventRef(pub u64);
 
@@ -138,50 +133,6 @@ macro_rules! span {
     };
 }
 
-/// Scoped span-sampling switch: while a guard constructed with
-/// `record = false` is alive, spans opened on this thread (via
-/// [`span!`](crate::span!), [`TraceGuard::enter`], or [`record_raw`])
-/// are silently skipped. Restores the previous state on drop, so scopes
-/// nest. Zero-sized no-op with the `trace` feature off.
-///
-/// This is the mechanism behind deterministic 1-in-N request sampling
-/// (`DV_TRACE_SAMPLE`): the caller decides from the request *sequence
-/// number* whether to record, so the sampled set is identical at any
-/// thread count. Only spans are gated — discrepancy telemetry and
-/// metrics counters stay always-on.
-#[must_use = "sampling is scoped to the guard's lifetime; bind it with `let`"]
-pub struct SampleGuard {
-    #[cfg(feature = "trace")]
-    prev: bool,
-}
-
-/// Enters a sampling scope: spans on this thread record only if
-/// `record` is true (and no enclosing scope suppressed them).
-#[inline]
-pub fn sample_scope(record: bool) -> SampleGuard {
-    #[cfg(feature = "trace")]
-    {
-        SampleGuard {
-            prev: imp::push_suppress(!record),
-        }
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        let _ = record;
-        SampleGuard {}
-    }
-}
-
-impl Drop for SampleGuard {
-    #[inline]
-    fn drop(&mut self) {
-        #[cfg(feature = "trace")]
-        {
-            imp::restore_suppress(self.prev);
-        }
-    }
-}
-
 /// Records a span from explicit clock stamps (taken with
 /// [`now_ns`](crate::now_ns)) onto the *calling* thread's lane. For
 /// intervals that straddle threads — e.g. queue wait measured at
@@ -210,10 +161,9 @@ pub fn record_raw(name: &'static str, start_ns: u64, end_ns: u64) {
 /// very reading its own latency arithmetic uses on the timeline, so the
 /// two agree to the nanosecond.
 ///
-/// Allocation-free (the ring and intern table are pre-sized), honors
-/// [`sample_scope`] like spans do (a sampled-out event returns
-/// [`EventRef::NONE`]), and compiles to a no-op returning NONE — no
-/// atomics — when the `trace` feature is off.
+/// Allocation-free (the ring and intern table are pre-sized), and
+/// compiles to a no-op returning NONE — no atomics — when the `trace`
+/// feature is off.
 #[inline]
 pub fn record_event(
     name: &'static str,
@@ -239,20 +189,6 @@ pub fn record_event(
     {
         let _ = (name, at_ns, trace, parent, arg);
         EventRef::NONE
-    }
-}
-
-/// Feeds one per-layer discrepancy sample into the calling thread's
-/// telemetry cell for `tap`. Taps at or beyond [`MAX_TAPS`] are ignored.
-#[inline]
-pub fn record_discrepancy(tap: usize, value: f32) {
-    #[cfg(feature = "trace")]
-    {
-        imp::record_discrepancy(tap, value);
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        let _ = (tap, value);
     }
 }
 
@@ -334,20 +270,6 @@ pub fn snapshot() -> TraceSnapshot {
     }
 }
 
-/// Per-tap discrepancy telemetry merged across all lanes, sorted by tap.
-/// Empty when the `trace` feature is off or nothing was recorded.
-#[must_use]
-pub fn discrepancy_summary() -> Vec<TapSummary> {
-    #[cfg(feature = "trace")]
-    {
-        imp::discrepancy_summary()
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        Vec::new()
-    }
-}
-
 /// Clears every lane and the global sequence counter. Only meaningful at
 /// quiescent points (between bench phases); concurrent recorders may
 /// interleave with the clear.
@@ -364,8 +286,7 @@ mod imp {
     use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
     use std::sync::OnceLock;
 
-    use super::{LaneSnapshot, SpanRecord, TraceSnapshot, MAX_LANES, MAX_TAPS, RING_CAP};
-    use crate::welford::{AtomicWelford, TapSummary, Welford};
+    use super::{LaneSnapshot, SpanRecord, TraceSnapshot, MAX_LANES, RING_CAP};
 
     /// Distinct span names per process (names beyond this drop spans).
     const NAME_SLOTS: usize = 512;
@@ -405,7 +326,6 @@ mod imp {
         /// Total spans ever written; `head % RING_CAP` is the next slot.
         head: AtomicU64,
         entries: Vec<Entry>,
-        taps: [AtomicWelford; MAX_TAPS],
     }
 
     impl ThreadRing {
@@ -419,7 +339,6 @@ mod imp {
                 thread_name,
                 head: AtomicU64::new(0),
                 entries: (0..RING_CAP).map(|_| Entry::new()).collect(),
-                taps: [const { AtomicWelford::new() }; MAX_TAPS],
             }
         }
     }
@@ -446,23 +365,6 @@ mod imp {
     thread_local! {
         static RING: Cell<RingState> = const { Cell::new(RingState::Unset) };
         static DEPTH: Cell<u32> = const { Cell::new(0) };
-        /// True while a [`super::SampleGuard`] has sampled this
-        /// thread's current request *out*.
-        static SUPPRESS: Cell<bool> = const { Cell::new(false) };
-    }
-
-    /// Sets the suppression flag (OR-ed with any enclosing scope) and
-    /// returns the previous value for [`restore_suppress`].
-    pub(super) fn push_suppress(suppress: bool) -> bool {
-        SUPPRESS.with(|s| {
-            let prev = s.get();
-            s.set(prev || suppress);
-            prev
-        })
-    }
-
-    pub(super) fn restore_suppress(prev: bool) {
-        SUPPRESS.with(|s| s.set(prev));
     }
 
     pub(super) fn push_depth() -> u32 {
@@ -519,8 +421,7 @@ mod imp {
     }
 
     /// Stamps one ring slot. Returns the record's event ref (`seq + 1`)
-    /// for causal chaining, or 0 when the record was suppressed or
-    /// dropped.
+    /// for causal chaining, or 0 when the record was dropped.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn record(
         name: &'static str,
@@ -532,11 +433,6 @@ mod imp {
         arg: u64,
         is_event: bool,
     ) -> u64 {
-        if SUPPRESS.with(Cell::get) {
-            // Sampled out by a SampleGuard: intentionally unrecorded,
-            // not "dropped" — the dropped counter tracks lost data.
-            return 0;
-        }
         let Some(ring) = current_ring() else {
             return 0;
         };
@@ -561,15 +457,6 @@ mod imp {
         // Published last: a racy reader sees the slot only once whole.
         ring.head.store(head + 1, Ordering::SeqCst);
         seq + 1
-    }
-
-    pub(super) fn record_discrepancy(tap: usize, value: f32) {
-        if tap >= MAX_TAPS {
-            return;
-        }
-        if let Some(ring) = current_ring() {
-            ring.taps[tap].update(value);
-        }
     }
 
     fn lanes() -> impl Iterator<Item = &'static ThreadRing> {
@@ -624,33 +511,9 @@ mod imp {
         out
     }
 
-    pub(super) fn discrepancy_summary() -> Vec<TapSummary> {
-        let mut merged = [Welford::new(); MAX_TAPS];
-        for ring in lanes() {
-            for (tap, cell) in ring.taps.iter().enumerate() {
-                merged[tap].merge(&cell.read());
-            }
-        }
-        merged
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.count() > 0)
-            .map(|(tap, w)| TapSummary {
-                tap,
-                count: w.count(),
-                mean: w.mean(),
-                variance: w.variance(),
-                max: w.max(),
-            })
-            .collect()
-    }
-
     pub(super) fn reset() {
         for ring in lanes() {
             ring.head.store(0, Ordering::SeqCst);
-            for cell in &ring.taps {
-                cell.reset();
-            }
         }
         DROPPED.store(0, Ordering::SeqCst);
         GLOBAL_SEQ.store(0, Ordering::SeqCst);
@@ -664,17 +527,13 @@ mod off_tests {
     #[test]
     fn guard_is_zero_sized_and_snapshot_empty() {
         assert_eq!(std::mem::size_of::<TraceGuard>(), 0);
-        assert_eq!(std::mem::size_of::<SampleGuard>(), 0);
         {
-            let _s = sample_scope(true);
             span!("off.should_not_record");
             record_raw("off.raw", 0, 10);
-            record_discrepancy(0, 1.0);
         }
         let snap = snapshot();
         assert!(snap.lanes.is_empty());
         assert_eq!(snap.dropped, 0);
-        assert!(discrepancy_summary().is_empty());
         assert!(!tracing_enabled());
     }
 
@@ -781,68 +640,7 @@ mod on_tests {
     }
 
     #[test]
-    fn discrepancy_telemetry_merges_per_tap() {
-        let _g = locked();
-        reset();
-        record_discrepancy(0, 1.0);
-        record_discrepancy(0, 3.0);
-        record_discrepancy(2, 5.0);
-        record_discrepancy(MAX_TAPS + 1, 99.0); // ignored
-        let summary = discrepancy_summary();
-        assert_eq!(summary.len(), 2, "{summary:?}");
-        assert_eq!(summary[0].tap, 0);
-        assert_eq!(summary[0].count, 2);
-        assert!((summary[0].mean - 2.0).abs() < 1e-9);
-        assert!((summary[0].variance - 1.0).abs() < 1e-9);
-        assert_eq!(summary[1].tap, 2);
-        assert!((summary[1].max - 5.0).abs() < f32::EPSILON);
-    }
-
-    #[test]
-    fn sample_scope_gates_spans_but_not_telemetry() {
-        let _g = locked();
-        reset();
-        {
-            let _out = sample_scope(false);
-            span!("t.sampled_out");
-            record_raw("t.sampled_out_raw", 0, 5);
-            record_discrepancy(3, 2.0); // telemetry is never sampled out
-        }
-        {
-            let _in = sample_scope(true);
-            span!("t.sampled_in");
-        }
-        {
-            span!("t.after_scope"); // suppression must not leak past the guard
-        }
-        assert!(my_lane_spans("t.sampled_out").is_empty());
-        assert_eq!(my_lane_spans("t.sampled_in").len(), 1);
-        assert_eq!(my_lane_spans("t.after_scope").len(), 1);
-        let summary = discrepancy_summary();
-        let tap3 = summary.iter().find(|t| t.tap == 3).expect("tap 3 recorded");
-        assert_eq!(tap3.count, 1);
-        // Sampling is intentional omission, not data loss.
-        assert_eq!(snapshot().dropped, 0);
-    }
-
-    #[test]
-    fn sample_scopes_nest_outer_suppression_wins() {
-        let _g = locked();
-        reset();
-        {
-            let _outer = sample_scope(false);
-            {
-                // An inner "record" scope cannot resurrect a request the
-                // outer scope sampled out.
-                let _inner = sample_scope(true);
-                span!("t.nested_suppressed");
-            }
-        }
-        assert!(my_lane_spans("t.nested_suppressed").is_empty());
-    }
-
-    #[test]
-    fn events_chain_causally_and_respect_sampling() {
+    fn events_chain_causally() {
         let _g = locked();
         reset();
         let trace = TraceId::from_seq(41);
@@ -877,16 +675,6 @@ mod on_tests {
             (100, 250),
             "events carry the caller's stamps"
         );
-
-        // Sampled out: nothing recorded, NONE returned, chain stays inert.
-        reset();
-        {
-            let _out = sample_scope(false);
-            let e = record_event("t.ev_suppressed", 300, trace, EventRef::NONE, 0);
-            assert_eq!(e, EventRef::NONE);
-        }
-        assert!(my_lane_spans("t.ev_suppressed").is_empty());
-        assert_eq!(snapshot().dropped, 0, "sampling is not data loss");
     }
 
     #[test]

@@ -1,25 +1,15 @@
-//! Streaming mean/variance/max via Welford's algorithm, plus the
-//! per-tap discrepancy telemetry built on it.
+//! Streaming mean and variance via Welford's algorithm.
 //!
-//! Deep Validation's signal *is* the per-layer discrepancy between a
-//! recovered layer specification and the live activation; this module
-//! keeps a running mean/variance/max of that signal per probe tap (the
-//! observability analogue of the paper's Table VI), cheap enough to stay
-//! on in production. Updates go to single-writer per-thread cells (see
-//! [`crate::span`]); lanes are merged with Chan et al.'s parallel
-//! combination rule at export time, which is exact, so the merged
-//! moments equal a single-stream computation up to float rounding.
+//! One pass, constant memory, and numerically stable where the naive
+//! sum-of-squares formula cancels: dv-drift freezes a calibration
+//! window's discrepancy mean and standard deviation with it.
 
-#[cfg(feature = "trace")]
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-
-/// Running count/mean/M2/max over a stream of `f32` samples.
+/// Running count/mean/M2 over a stream of `f32` samples.
 #[derive(Debug, Clone, Copy)]
 pub struct Welford {
     count: u64,
     mean: f64,
     m2: f64,
-    max: f32,
 }
 
 impl Welford {
@@ -30,7 +20,6 @@ impl Welford {
             count: 0,
             mean: 0.0,
             m2: 0.0,
-            max: f32::NEG_INFINITY,
         }
     }
 
@@ -42,31 +31,6 @@ impl Welford {
         self.mean += d / self.count as f64;
         let d2 = xf - self.mean;
         self.m2 += d * d2;
-        if x > self.max {
-            self.max = x;
-        }
-    }
-
-    /// Combines another accumulator into this one (Chan et al.), exact
-    /// for the tracked moments.
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let d = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += d * n2 / n;
-        self.m2 += other.m2 + d * d * n1 * n2 / n;
-        self.count += other.count;
-        if other.max > self.max {
-            self.max = other.max;
-        }
     }
 
     /// Number of samples.
@@ -94,16 +58,6 @@ impl Welford {
             (self.m2 / self.count as f64).max(0.0)
         }
     }
-
-    /// Largest sample, or 0 when empty.
-    #[must_use]
-    pub fn max(&self) -> f32 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
 }
 
 impl Default for Welford {
@@ -112,118 +66,11 @@ impl Default for Welford {
     }
 }
 
-/// Maps `f32` onto `u32` such that the unsigned order of keys equals the
-/// total order of the floats (IEEE-754 trick: flip all bits of
-/// negatives, flip the sign bit of non-negatives). Lets `fetch_max`
-/// track a float maximum monotonically.
-#[cfg(feature = "trace")]
-#[must_use]
-pub(crate) fn f32_key(x: f32) -> u32 {
-    let b = x.to_bits();
-    if b >> 31 == 1 {
-        !b
-    } else {
-        b | 0x8000_0000
-    }
-}
-
-/// Inverse of [`f32_key`].
-#[cfg(feature = "trace")]
-#[must_use]
-pub(crate) fn key_f32(k: u32) -> f32 {
-    if k >> 31 == 1 {
-        f32::from_bits(k & 0x7fff_ffff)
-    } else {
-        f32::from_bits(!k)
-    }
-}
-
-/// A single-writer Welford cell readable from other threads.
-///
-/// The owning thread is the only writer; `update` is a plain
-/// load-compute-store on each atomic field, so no RMW loop is needed.
-/// Concurrent readers may observe a mid-update mix of fields — exports
-/// taken at quiescent points (end of a bench run, after server
-/// shutdown) are exact, mid-flight reads are approximate monitoring.
-#[cfg(feature = "trace")]
-pub(crate) struct AtomicWelford {
-    count: AtomicU64,
-    mean_bits: AtomicU64,
-    m2_bits: AtomicU64,
-    max_key: AtomicU32,
-}
-
-#[cfg(feature = "trace")]
-impl AtomicWelford {
-    pub(crate) const fn new() -> Self {
-        Self {
-            count: AtomicU64::new(0),
-            mean_bits: AtomicU64::new(0),
-            m2_bits: AtomicU64::new(0),
-            max_key: AtomicU32::new(0),
-        }
-    }
-
-    /// Adds one sample. Must only be called from the owning thread.
-    pub(crate) fn update(&self, x: f32) {
-        let mut w = Welford {
-            count: self.count.load(Ordering::SeqCst),
-            mean: f64::from_bits(self.mean_bits.load(Ordering::SeqCst)),
-            m2: f64::from_bits(self.m2_bits.load(Ordering::SeqCst)),
-            max: f32::NEG_INFINITY, // tracked separately via max_key
-        };
-        w.push(x);
-        self.mean_bits.store(w.mean.to_bits(), Ordering::SeqCst);
-        self.m2_bits.store(w.m2.to_bits(), Ordering::SeqCst);
-        // max_key is monotone, so fetch_max is safe even under racy
-        // reads; count is published last so readers undercount rather
-        // than see moments for samples not yet folded in.
-        self.max_key.fetch_max(f32_key(x), Ordering::SeqCst);
-        self.count.store(w.count, Ordering::SeqCst);
-    }
-
-    pub(crate) fn read(&self) -> Welford {
-        let count = self.count.load(Ordering::SeqCst);
-        Welford {
-            count,
-            mean: f64::from_bits(self.mean_bits.load(Ordering::SeqCst)),
-            m2: f64::from_bits(self.m2_bits.load(Ordering::SeqCst)),
-            max: if count == 0 {
-                f32::NEG_INFINITY
-            } else {
-                key_f32(self.max_key.load(Ordering::SeqCst))
-            },
-        }
-    }
-
-    pub(crate) fn reset(&self) {
-        self.count.store(0, Ordering::SeqCst);
-        self.mean_bits.store(0, Ordering::SeqCst);
-        self.m2_bits.store(0, Ordering::SeqCst);
-        self.max_key.store(0, Ordering::SeqCst);
-    }
-}
-
-/// Per-tap discrepancy summary, merged across all recording threads.
-#[derive(Debug, Clone, Copy)]
-pub struct TapSummary {
-    /// Probe tap index (position in the plan's probe list).
-    pub tap: usize,
-    /// Number of recorded discrepancies.
-    pub count: u64,
-    /// Running mean.
-    pub mean: f64,
-    /// Running population variance.
-    pub variance: f64,
-    /// Largest recorded discrepancy.
-    pub max: f32,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn naive(xs: &[f32]) -> (f64, f64, f32) {
+    fn naive(xs: &[f32]) -> (f64, f64) {
         let n = xs.len() as f64;
         let mean = xs.iter().map(|&x| f64::from(x)).sum::<f64>() / n;
         let var = xs
@@ -231,8 +78,7 @@ mod tests {
             .map(|&x| (f64::from(x) - mean).powi(2))
             .sum::<f64>()
             / n;
-        let max = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        (mean, var, max)
+        (mean, var)
     }
 
     #[test]
@@ -242,90 +88,9 @@ mod tests {
         for &x in &xs {
             w.push(x);
         }
-        let (mean, var, max) = naive(&xs);
+        let (mean, var) = naive(&xs);
         assert!((w.mean() - mean).abs() < 1e-9, "{} vs {mean}", w.mean());
         assert!((w.variance() - var).abs() < 1e-6);
-        assert!((w.max() - max).abs() < f32::EPSILON);
         assert_eq!(w.count(), xs.len() as u64);
-    }
-
-    #[test]
-    fn merge_equals_single_stream() {
-        let xs = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0];
-        let mut whole = Welford::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let (a, b) = xs.split_at(4);
-        let mut wa = Welford::new();
-        let mut wb = Welford::new();
-        for &x in a {
-            wa.push(x);
-        }
-        for &x in b {
-            wb.push(x);
-        }
-        wa.merge(&wb);
-        assert_eq!(wa.count(), whole.count());
-        assert!((wa.mean() - whole.mean()).abs() < 1e-12);
-        assert!((wa.variance() - whole.variance()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_with_empty_sides_is_identity() {
-        let mut w = Welford::new();
-        w.push(2.0);
-        let empty = Welford::new();
-        let mut left = empty;
-        left.merge(&w);
-        assert_eq!(left.count(), 1);
-        w.merge(&empty);
-        assert_eq!(w.count(), 1);
-        assert!((w.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[cfg(feature = "trace")]
-    #[test]
-    fn f32_key_preserves_order() {
-        let vals = [
-            f32::NEG_INFINITY,
-            -1e30,
-            -2.5,
-            -0.0,
-            0.0,
-            1e-20,
-            2.5,
-            1e30,
-            f32::INFINITY,
-        ];
-        for pair in vals.windows(2) {
-            assert!(
-                f32_key(pair[0]) <= f32_key(pair[1]),
-                "key order broken at {pair:?}"
-            );
-        }
-        for &v in &vals {
-            let rt = key_f32(f32_key(v));
-            assert_eq!(rt.to_bits(), v.to_bits(), "round trip at {v}");
-        }
-    }
-
-    #[cfg(feature = "trace")]
-    #[test]
-    fn atomic_welford_matches_plain() {
-        let cell = AtomicWelford::new();
-        let xs = [0.5f32, 1.5, -3.0, 8.0];
-        let mut plain = Welford::new();
-        for &x in &xs {
-            cell.update(x);
-            plain.push(x);
-        }
-        let got = cell.read();
-        assert_eq!(got.count(), plain.count());
-        assert!((got.mean() - plain.mean()).abs() < 1e-12);
-        assert!((got.variance() - plain.variance()).abs() < 1e-12);
-        assert!((got.max() - plain.max()).abs() < f32::EPSILON);
-        cell.reset();
-        assert_eq!(cell.read().count(), 0);
     }
 }
