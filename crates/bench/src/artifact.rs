@@ -2,19 +2,22 @@
 //!
 //! Every file opens with a `provenance` object: the schema version, the
 //! git revision of the source the binary was built from, the core
-//! count, `DV_THREADS`, the compiled-in features and the mode. A full
-//! run writes into the directory it is given (the working directory,
-//! where the committed artifacts live); a `--quick` smoke writes under
-//! that directory's `target/quick/` instead, so a quick run can never
-//! overwrite a committed full-mode artifact.
+//! count, `DV_THREADS`, the compiled-in features, whether the AVX
+//! kernels run, and the mode. A full run writes into the directory it is
+//! given (the working directory, where the committed artifacts live); a
+//! `--quick` smoke writes under that directory's `target/quick/`
+//! instead, so a quick run can never overwrite a committed full-mode
+//! artifact.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 /// Version of the artifact layout: bump it when a field changes
-/// meaning or moves.
-const SCHEMA: u32 = 1;
+/// meaning or moves. Version 2 replaced `features.simd` (the AVX kernels
+/// were compiled in) with `simd_kernels` (they run, as the repository
+/// benchmark reports it).
+const SCHEMA: u32 = 2;
 
 /// Writes `fields` as `BENCH_<name>.json` under `dir` (or under
 /// `dir/target/quick/` when `quick`), prints it to stdout, and returns
@@ -48,10 +51,10 @@ fn provenance(quick: bool) -> String {
         dv_runtime::config::requested_threads().map_or_else(|| "null".into(), |n| n.to_string());
     format!(
         "{{\"schema\": {SCHEMA}, \"git\": \"{}\", \"nproc\": {nproc}, \"dv_threads\": {dv_threads}, \
-         \"features\": {{\"trace\": {}, \"simd\": {}}}, \"mode\": \"{}\"}}",
+         \"features\": {{\"trace\": {}}}, \"simd_kernels\": {}, \"mode\": \"{}\"}}",
         git_describe(),
         dv_trace::tracing_enabled(),
-        dv_tensor::gemm::simd_compiled(),
+        dv_tensor::gemm::simd_kernels_active(),
         if quick { "quick" } else { "full" },
     )
 }
@@ -107,7 +110,8 @@ mod tests {
             [PathBuf::from("target/quick/BENCH_unit.json")]
         );
         let text = fs::read_to_string(&quick).expect("quick artifact is readable");
-        assert!(text.starts_with("{\n  \"provenance\": {\"schema\": 1, \"git\": \""));
+        assert!(text.starts_with("{\n  \"provenance\": {\"schema\": 2, \"git\": \""));
+        assert!(text.contains("\"simd_kernels\": "), "{text}");
         assert!(text.contains("\"mode\": \"quick\"}"), "{text}");
         assert!(text.ends_with(",\n  \"x\": 1\n}\n"), "{text}");
 

@@ -8,15 +8,15 @@
 //! (`reference`: the blocked nest, and for a convolution an explicit
 //! per-element im2col feeding it), the dv-tensor kernel forced onto its
 //! scalar arm (`kernel_scalar`: `gemm::gemm`, or `gemm::conv2d_into` for a
-//! convolution), and its AVX arm when the binary is built with
-//! `--features simd` and the CPU has AVX (`kernel_simd`). Kernel arms run
-//! on one thread and on a 4-thread pool; small shapes fall below the
-//! kernel's parallel threshold and report the same number for both.
+//! convolution), and its AVX arm when the CPU has AVX (`kernel_simd`; the
+//! AVX kernels are in every x86_64 build). Kernel arms run on one thread
+//! and on a 4-thread pool; small shapes fall below the kernel's parallel
+//! threshold and report the same number for both.
 //!
 //! All arms are checked bit-identical per row before timing — the
 //! speedups below are for byte-for-byte the same outputs. Runs as a CI
-//! smoke with `--quick` (`cargo run --release -p dv-bench --features simd
-//! --bin gemm_roofline -- --quick`), which writes under `target/quick/`.
+//! smoke with `--quick` (`cargo run --release -p dv-bench --bin
+//! gemm_roofline -- --quick`), which writes under `target/quick/`.
 
 use std::path::Path;
 

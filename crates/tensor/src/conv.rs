@@ -107,7 +107,7 @@ pub fn im2col_into(data: &[f32], geom: &Conv2dGeom, out: &mut [f32]) {
         geom.col_rows() * cols,
         "im2col_into out length mismatch"
     );
-    let fill_row = |row: usize, dst: &mut [f32]| gather_patch_row(data, geom, row, dst);
+    let fill_row = |row: usize, dst: &mut [f32]| gather_patch_row(data, geom, row, 0, dst);
     // Each row (c, ky, kx) of the column matrix is an independent strided
     // copy into its own chunk, so large lowerings fan rows out across the
     // pool; small ones stay sequential to dodge fork/join overhead.
@@ -120,24 +120,33 @@ pub fn im2col_into(data: &[f32], geom: &Conv2dGeom, out: &mut [f32]) {
     }
 }
 
-/// Writes row `row` of the column matrix — kernel tap `(c, ky, kx)` at
-/// every output position — into `dst` (`out_h * out_w` long). Per output
-/// row the in-bounds run of the input row is copied in one pass (a slice
-/// copy at stride 1) and only the padding is zero-filled, so every
-/// element of `dst` is written. The one patch gather behind both
-/// [`im2col_into`] and the convolution forward in [`crate::gemm`].
-pub(crate) fn gather_patch_row(data: &[f32], geom: &Conv2dGeom, row: usize, dst: &mut [f32]) {
+/// Writes row `row` of the column matrix — kernel tap `(c, ky, kx)` —
+/// for the whole output rows `oy0..oy0 + dst.len() / out_w` into `dst`.
+/// Per output row the in-bounds run of the input row is copied in one
+/// pass (a slice copy at stride 1) and only the padding is zero-filled,
+/// so every element of `dst` is written. The one patch gather behind
+/// both [`im2col_into`] and the convolution forward in [`crate::gemm`].
+pub(crate) fn gather_patch_row(
+    data: &[f32],
+    geom: &Conv2dGeom,
+    row: usize,
+    oy0: usize,
+    dst: &mut [f32],
+) {
     let (k, s, p) = (geom.kernel, geom.stride, geom.pad);
     let (kx, ky, c) = (row % k, (row / k) % k, row / (k * k));
     let chan_len = geom.in_h * geom.in_w;
     let chan = &data[c * chan_len..(c + 1) * chan_len];
     let ow = geom.out_w();
-    debug_assert_eq!(dst.len(), geom.out_h() * ow, "patch row length mismatch");
+    debug_assert!(
+        dst.len().is_multiple_of(ow) && oy0 * ow + dst.len() <= geom.out_h() * ow,
+        "patch row length mismatch"
+    );
     // Output columns `lo..hi` read input column `ox * s + kx - p`, which
     // lies in `0..in_w` exactly there; the same run holds for every row.
     let lo = p.saturating_sub(kx).div_ceil(s).min(ow);
     let hi = (geom.in_w + p).saturating_sub(kx).div_ceil(s).clamp(lo, ow);
-    for (oy, out_row) in dst.chunks_exact_mut(ow).enumerate() {
+    for (oy, out_row) in (oy0..).zip(dst.chunks_exact_mut(ow)) {
         let src_row = match (oy * s + ky).checked_sub(p) {
             Some(iy) if iy < geom.in_h && lo < hi => {
                 &chan[iy * geom.in_w + lo * s + kx - p..(iy + 1) * geom.in_w]

@@ -5,9 +5,10 @@
 //! - [`Shape`]: dimension bookkeeping with row-major strides,
 //! - [`Tensor`]: contiguous row-major storage with elementwise ops,
 //!   reductions and random initialization,
-//! - [`gemm`]: the packed, register-tiled GEMM microkernel (optionally
-//!   AVX-vectorized behind the `simd` feature) every matrix product
-//!   routes through, plus the direct convolution forward,
+//! - [`gemm`]: the packed, register-tiled GEMM microkernel every matrix
+//!   product routes through, plus the direct convolution forward, each
+//!   with an AVX arm on x86_64 CPUs that have it (detected at runtime,
+//!   same bits as the scalar arm),
 //! - [`matmul`]: dense matrix multiplication (plus transposed variants
 //!   used by backpropagation) as thin adapters over [`gemm`],
 //! - [`conv`]: `im2col` / `col2im` lowering and the one patch-row
@@ -27,13 +28,12 @@
 //! assert_eq!(c.data(), a.data());
 //! ```
 
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod conv;
 pub mod gemm;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod gemm_simd;
 pub mod io;
