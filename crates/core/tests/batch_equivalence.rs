@@ -2,9 +2,9 @@
 //! batch size and thread count, `score_batch_into` must produce exactly
 //! the bits that B separate `score_into` calls produce — the images
 //! around an image in a stacked forward pass must be invisible in its
-//! scores.
+//! scores. Every test runs on both kernel arms.
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use dv_core::{DeepValidator, ScoreError, ScoreWorkspace, ValidatorConfig};
 use dv_nn::layers::{Conv2d, Dense, Flatten, MaxPool2, Relu};
@@ -12,7 +12,7 @@ use dv_nn::optim::Adam;
 use dv_nn::train::{fit, TrainConfig};
 use dv_nn::{InferencePlan, Network};
 use dv_runtime::Pool;
-use dv_tensor::Tensor;
+use dv_tensor::{gemm, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -67,6 +67,19 @@ fn fixture() -> &'static Fixture {
             images,
         }
     })
+}
+
+/// Runs `f` once per kernel arm (the forced scalar kernels, then the AVX
+/// kernels where the CPU has them), holding a lock so no other test of
+/// this file switches the process-wide arm under it.
+fn on_both_arms(mut f: impl FnMut()) {
+    static ARM: Mutex<()> = Mutex::new(());
+    let _arm = ARM.lock().unwrap_or_else(PoisonError::into_inner);
+    for forced_scalar in [true, false] {
+        gemm::force_scalar_kernels(forced_scalar);
+        f();
+    }
+    gemm::force_scalar_kernels(false);
 }
 
 /// Runs `score_into` once per image and returns the concatenated
@@ -128,18 +141,20 @@ proptest! {
         let threads = if par == 0 { 1 } else { 4 };
         let fx = fixture();
         let images = &fx.images[start..start + batch];
-        let (want_res, want_pl) =
-            Pool::new(1).install(|| singles_reference(fx, images));
-        let (got_res, got_pl) = Pool::new(threads).install(|| {
-            let mut sw = ScoreWorkspace::new();
-            let mut results = Vec::new();
-            let mut per_layer = Vec::new();
-            fx.validator
-                .score_batch_into(&fx.plan, images, &mut sw, &mut results, &mut per_layer)
-                .expect("fixture images are well-formed");
-            (results, per_layer)
+        on_both_arms(|| {
+            let (want_res, want_pl) =
+                Pool::new(1).install(|| singles_reference(fx, images));
+            let (got_res, got_pl) = Pool::new(threads).install(|| {
+                let mut sw = ScoreWorkspace::new();
+                let mut results = Vec::new();
+                let mut per_layer = Vec::new();
+                fx.validator
+                    .score_batch_into(&fx.plan, images, &mut sw, &mut results, &mut per_layer)
+                    .expect("fixture images are well-formed");
+                (results, per_layer)
+            });
+            assert_bits_equal("full", &got_res, &got_pl, &want_res, &want_pl);
         });
-        assert_bits_equal("full", &got_res, &got_pl, &want_res, &want_pl);
     }
 }
 
@@ -149,28 +164,30 @@ proptest! {
 #[test]
 fn workspace_reuse_across_batches_is_invisible() {
     let fx = fixture();
-    Pool::new(1).install(|| {
-        let mut reused = ScoreWorkspace::new();
-        let mut cursor = 0;
-        for batch in [5, 1, 8, 3, 7] {
-            let images = &fx.images[cursor..cursor + batch];
-            cursor += batch;
-            let (mut res_a, mut pl_a) = (Vec::new(), Vec::new());
-            fx.validator
-                .score_batch_into(&fx.plan, images, &mut reused, &mut res_a, &mut pl_a)
-                .expect("fixture images are well-formed");
-            let (mut res_b, mut pl_b) = (Vec::new(), Vec::new());
-            fx.validator
-                .score_batch_into(
-                    &fx.plan,
-                    images,
-                    &mut ScoreWorkspace::new(),
-                    &mut res_b,
-                    &mut pl_b,
-                )
-                .expect("fixture images are well-formed");
-            assert_bits_equal("reuse", &res_a, &pl_a, &res_b, &pl_b);
-        }
+    on_both_arms(|| {
+        Pool::new(1).install(|| {
+            let mut reused = ScoreWorkspace::new();
+            let mut cursor = 0;
+            for batch in [5, 1, 8, 3, 7] {
+                let images = &fx.images[cursor..cursor + batch];
+                cursor += batch;
+                let (mut res_a, mut pl_a) = (Vec::new(), Vec::new());
+                fx.validator
+                    .score_batch_into(&fx.plan, images, &mut reused, &mut res_a, &mut pl_a)
+                    .expect("fixture images are well-formed");
+                let (mut res_b, mut pl_b) = (Vec::new(), Vec::new());
+                fx.validator
+                    .score_batch_into(
+                        &fx.plan,
+                        images,
+                        &mut ScoreWorkspace::new(),
+                        &mut res_b,
+                        &mut pl_b,
+                    )
+                    .expect("fixture images are well-formed");
+                assert_bits_equal("reuse", &res_a, &pl_a, &res_b, &pl_b);
+            }
+        });
     });
 }
 
@@ -180,23 +197,25 @@ fn workspace_reuse_across_batches_is_invisible() {
 #[test]
 fn bad_input_aborts_the_batch_and_scores_nothing() {
     let fx = fixture();
-    Pool::new(1).install(|| {
-        let mut sw = ScoreWorkspace::new();
-        let mut nan = fx.images[0].clone();
-        nan.set(&[0, 0, 0], f32::NAN);
-        let batch = [fx.images[0].clone(), nan, fx.images[1].clone()];
-        let (mut results, mut per_layer) = (Vec::new(), Vec::new());
-        let err = fx
-            .validator
-            .score_batch_into(&fx.plan, &batch, &mut sw, &mut results, &mut per_layer)
-            .expect_err("a NaN pixel must reject the batch");
-        assert!(matches!(err, ScoreError::BadInput(_)));
-        // The aborted batch must not poison the next, clean one.
-        let clean = &fx.images[..4];
-        fx.validator
-            .score_batch_into(&fx.plan, clean, &mut sw, &mut results, &mut per_layer)
-            .expect("clean batch after an aborted one");
-        let (want_res, want_pl) = singles_reference(fx, clean);
-        assert_bits_equal("after-abort", &results, &per_layer, &want_res, &want_pl);
+    on_both_arms(|| {
+        Pool::new(1).install(|| {
+            let mut sw = ScoreWorkspace::new();
+            let mut nan = fx.images[0].clone();
+            nan.set(&[0, 0, 0], f32::NAN);
+            let batch = [fx.images[0].clone(), nan, fx.images[1].clone()];
+            let (mut results, mut per_layer) = (Vec::new(), Vec::new());
+            let err = fx
+                .validator
+                .score_batch_into(&fx.plan, &batch, &mut sw, &mut results, &mut per_layer)
+                .expect_err("a NaN pixel must reject the batch");
+            assert!(matches!(err, ScoreError::BadInput(_)));
+            // The aborted batch must not poison the next, clean one.
+            let clean = &fx.images[..4];
+            fx.validator
+                .score_batch_into(&fx.plan, clean, &mut sw, &mut results, &mut per_layer)
+                .expect("clean batch after an aborted one");
+            let (want_res, want_pl) = singles_reference(fx, clean);
+            assert_bits_equal("after-abort", &results, &per_layer, &want_res, &want_pl);
+        });
     });
 }

@@ -1,15 +1,17 @@
 //! End-to-end thread-count parity: Algorithm 1 (fit), Algorithm 2
 //! (discrepancy scoring) and batch inference must produce bit-identical
 //! detectors, scores and labels whether the `dv-runtime` pool runs
-//! sequentially or on four threads.
+//! sequentially or on four threads, on either kernel arm (the forced
+//! scalar kernels and, where the CPU has AVX, the AVX kernels), and the
+//! two arms must agree with each other.
 
-use dv_core::{DeepValidator, ValidatorConfig};
+use dv_core::{DeepValidator, DiscrepancyReport, ValidatorConfig};
 use dv_nn::layers::{Dense, Flatten, Relu};
 use dv_nn::optim::Adam;
 use dv_nn::train::{fit, predict_labels, TrainConfig};
 use dv_nn::Network;
 use dv_runtime::Pool;
-use dv_tensor::Tensor;
+use dv_tensor::{gemm, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -46,42 +48,61 @@ fn setup() -> (Network, Vec<Tensor>, Vec<usize>) {
     (net, images, labels)
 }
 
-#[test]
-fn validator_fit_and_scores_are_bit_identical_across_thread_counts() {
-    let (net, images, labels) = setup();
-    let plan = net.plan();
-    let run = |threads: usize| {
-        let pool = Pool::new(threads);
-        pool.install(|| {
-            let validator = DeepValidator::fit(&net, &images, &labels, &ValidatorConfig::default())
-                .expect("fit failed");
-            let reports = validator.discrepancies_with_plan(&plan, &images[..16]);
-            (
-                validator.num_svms(),
-                reports,
-                predict_labels(&plan, &images),
-            )
-        })
-    };
-    let (svms1, reports1, labels1) = run(1);
-    let (svms4, reports4, labels4) = run(4);
-    assert_eq!(svms1, svms4, "SVM ensemble size differs");
-    assert_eq!(labels1, labels4, "batch inference labels differ");
-    assert_eq!(reports1.len(), reports4.len());
-    for (i, (a, b)) in reports1.iter().zip(&reports4).enumerate() {
-        assert_eq!(a.predicted, b.predicted, "prediction differs on image {i}");
+/// The SVM ensemble size, the discrepancy reports of the first 16
+/// images and the batch-inference labels of one run.
+type Run = (usize, Vec<DiscrepancyReport>, Vec<usize>);
+
+fn assert_runs_equal(a: &Run, b: &Run, what: &str) {
+    let ((svms_a, reports_a, labels_a), (svms_b, reports_b, labels_b)) = (a, b);
+    assert_eq!(svms_a, svms_b, "{what}: SVM ensemble size differs");
+    assert_eq!(labels_a, labels_b, "{what}: batch inference labels differ");
+    assert_eq!(reports_a.len(), reports_b.len());
+    for (i, (a, b)) in reports_a.iter().zip(reports_b).enumerate() {
+        assert_eq!(
+            a.predicted, b.predicted,
+            "{what}: prediction differs on image {i}"
+        );
         assert_eq!(
             a.joint.to_bits(),
             b.joint.to_bits(),
-            "joint discrepancy differs on image {i}"
+            "{what}: joint discrepancy differs on image {i}"
         );
         assert_eq!(a.per_layer.len(), b.per_layer.len());
         for (x, y) in a.per_layer.iter().zip(&b.per_layer) {
             assert_eq!(
                 x.to_bits(),
                 y.to_bits(),
-                "per-layer score differs on image {i}"
+                "{what}: per-layer score differs on image {i}"
             );
         }
     }
+}
+
+#[test]
+fn validator_fit_and_scores_are_bit_identical_across_thread_counts() {
+    // The only test in this file, so nothing else switches the
+    // process-wide kernel arm while it runs.
+    let [scalar, simd] = [true, false].map(|forced_scalar| {
+        gemm::force_scalar_kernels(forced_scalar);
+        let (net, images, labels) = setup();
+        let plan = net.plan();
+        let run = |threads: usize| -> Run {
+            Pool::new(threads).install(|| {
+                let validator =
+                    DeepValidator::fit(&net, &images, &labels, &ValidatorConfig::default())
+                        .expect("fit failed");
+                let reports = validator.discrepancies_with_plan(&plan, &images[..16]);
+                (
+                    validator.num_svms(),
+                    reports,
+                    predict_labels(&plan, &images),
+                )
+            })
+        };
+        let one = run(1);
+        assert_runs_equal(&one, &run(4), &format!("scalar={forced_scalar}"));
+        one
+    });
+    gemm::force_scalar_kernels(false);
+    assert_runs_equal(&scalar, &simd, "scalar vs simd arm");
 }
